@@ -31,9 +31,13 @@ Status BTree::RedoIndexOp(NodeId node, const IndexOpPayload& op,
     if (slot_or.ok()) {
       SMDB_ASSIGN_OR_RETURN(LeafEntry e, ReadLeafEntry(node, leaf, *slot_or));
       if (e.usn >= op.usn) return Status::Ok();  // already reflected
-      if (e.state == LeafEntryState::kTombstone && e.tag != kTagNone) {
+      if (e.state == LeafEntryState::kTombstone && e.tag != kTagNone &&
+          !op.is_clr) {
         // An uncommitted tombstone is undo information; mirror the runtime
-        // rule and take a fresh slot for the re-insert.
+        // rule and take a fresh slot for the re-insert. A compensation
+        // insert is the undo of that very delete: like UndoDelete, it
+        // revives the tombstone in place (a fresh slot would leave the
+        // tombstone behind for a later undo pass to revive a second time).
         SMDB_ASSIGN_OR_RETURN(slot, free_slot());
       } else {
         slot = *slot_or;

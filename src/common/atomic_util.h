@@ -10,8 +10,9 @@ namespace smdb {
 ///
 /// The simulator's stats structs keep plain uint64_t members so that
 /// single-threaded readers (metrics registries, digests, tests) see them as
-/// ordinary fields, while the sharded execution path bumps them from worker
-/// threads without data races. Counters are pure sums, so relaxed ordering
+/// ordinary fields, while the on-demand sweeper's pool batches (concurrent
+/// redo of records on distinct pages) bump them from worker threads
+/// without data races. Counters are pure sums, so relaxed ordering
 /// is sufficient and the final totals are schedule-invariant.
 inline void AtomicInc(uint64_t& counter, uint64_t delta = 1) {
   std::atomic_ref<uint64_t>(counter).fetch_add(delta,
@@ -34,8 +35,8 @@ inline uint64_t AtomicLoad(const uint64_t& counter) {
 
 /// Monotonic clock advance: counter = max(counter, floor) + delta, applied
 /// atomically. Used for the per-node simulated clocks, whose jump-to-max
-/// semantics (line-lock hand-offs) must stay race-free under sharded
-/// execution.
+/// semantics (line-lock hand-offs) must stay race-free while the on-demand
+/// sweeper's pool batches charge performers concurrently.
 inline uint64_t AtomicAdvance(uint64_t& counter, uint64_t floor,
                               uint64_t delta) {
   std::atomic_ref<uint64_t> ref(counter);

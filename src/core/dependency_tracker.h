@@ -52,8 +52,8 @@ class DependencyTracker {
  private:
   void OnCoherence(const CoherenceEvent& ev);
 
-  /// Guards all three maps: coherence hooks and update notifications arrive
-  /// from concurrent execution workers.
+  /// Guards all three maps: coherence hooks can arrive from the on-demand
+  /// sweeper's pool workers.
   mutable std::mutex mu_;
   /// line -> active transactions with uncommitted updates in it.
   std::unordered_map<LineAddr, std::set<TxnId>> line_txns_;

@@ -87,12 +87,10 @@ class IfaChecker : public TxnObserver {
   /// Records the violation and returns the matching Corruption status.
   Status Fail(Violation v);
 
-  /// Guards committed_/committed_index_/pending_: observer callbacks arrive
-  /// from concurrent execution workers. Commutes with footprint-disjoint
-  /// batching — 2PL keeps concurrent committers' record sets disjoint, and
-  /// the executor admits at most one index-touching pick per batch, so
-  /// committed_index_ mutations never race on a key. Verify* runs at
-  /// quiescent points only.
+  /// Guards committed_/committed_index_/pending_. Observer callbacks come
+  /// from transaction steps, which run on one thread; the latch keeps the
+  /// checker safe to call from any thread. Verify* runs at quiescent
+  /// points only.
   mutable std::mutex mu_;
   Database* db_;
   std::map<RecordId, std::vector<uint8_t>> committed_;

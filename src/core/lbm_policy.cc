@@ -131,12 +131,6 @@ Status StableTriggeredLbm::OnUpdateLogged(NodeId node, Lsn /*lsn*/,
   return Status::Ok();
 }
 
-NodeId StableTriggeredLbm::ActiveUpdater(LineAddr line) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = active_by_.find(line);
-  return it == active_by_.end() ? kInvalidNode : it->second;
-}
-
 void StableTriggeredLbm::OnCoherence(const CoherenceEvent& ev) {
   if (!ev.active_bit) return;
   NodeId updater = kInvalidNode;

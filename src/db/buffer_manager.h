@@ -89,8 +89,8 @@ class BufferManager {
   LogManager* log_;
   WalTable* wal_table_;
 
-  /// Guards frames_/by_addr_/dirty_: B-tree splits create pages and
-  /// transaction steps mark pages dirty from concurrent execution workers.
+  /// Guards frames_/by_addr_/dirty_: the on-demand sweeper's pool batches
+  /// mark pages dirty from worker threads.
   /// Never held across I/O (disk writes, log forces).
   mutable std::mutex mu_;
   std::unordered_map<PageId, Addr> frames_;

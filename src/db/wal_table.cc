@@ -1,12 +1,18 @@
 #include "db/wal_table.h"
 
+#include <algorithm>
+
 namespace smdb {
 
 void WalTable::NoteUpdate(PageId page, NodeId node, Lsn lsn) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& row = rows_[page];
   if (row.empty()) row.assign(num_nodes_, kInvalidLsn);
-  row[node] = lsn;
+  // A requirement only ever rises. Redo re-notes a surviving node's older
+  // records while that node's newer, still-volatile updates to the page
+  // stay in memory; lowering the entry would let a steal flush persist
+  // them ahead of their log records.
+  row[node] = std::max(row[node], lsn);
 }
 
 std::vector<std::pair<NodeId, Lsn>> WalTable::Requirements(

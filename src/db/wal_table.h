@@ -24,7 +24,9 @@ class WalTable {
  public:
   explicit WalTable(uint16_t num_nodes) : num_nodes_(num_nodes) {}
 
-  /// Records that `node` updated `page` with a log record at `lsn`.
+  /// Records that `node` updated `page` with a log record at `lsn`. The
+  /// node's requirement for the page becomes the larger of its current
+  /// value and `lsn`.
   void NoteUpdate(PageId page, NodeId node, Lsn lsn);
 
   /// (node, lsn) pairs that must be stable before `page` may be flushed.

@@ -1,5 +1,8 @@
 #include "fuzz/fuzz_case.h"
 
+#include <limits>
+#include <type_traits>
+
 #include "common/rng.h"
 #include "workload/spec_json.h"
 
@@ -23,14 +26,20 @@ Result<FuzzCase> FuzzCase::FromJson(const json::Value& v) {
     return Status::InvalidArgument("fuzz case: expected object");
   }
   FuzzCase c;
-  c.num_nodes = static_cast<uint16_t>(v.GetUint("num_nodes", c.num_nodes));
-  if (c.num_nodes == 0) {
-    return Status::InvalidArgument("fuzz case: num_nodes must be > 0");
+  // Range checks belong to HarnessConfig::Validate; here a value only has
+  // to fit its field without wrapping.
+  auto narrow = [&v](const char* key, auto* field) {
+    uint64_t raw = v.GetUint(key, *field);
+    using T = std::remove_pointer_t<decltype(field)>;
+    if (raw > std::numeric_limits<T>::max()) return false;
+    *field = static_cast<T>(raw);
+    return true;
+  };
+  if (!narrow("num_nodes", &c.num_nodes) ||
+      !narrow("num_records", &c.num_records) ||
+      !narrow("record_data_size", &c.record_data_size)) {
+    return Status::InvalidArgument("fuzz case: size field out of range");
   }
-  c.num_records =
-      static_cast<uint32_t>(v.GetUint("num_records", c.num_records));
-  c.record_data_size = static_cast<uint16_t>(
-      v.GetUint("record_data_size", c.record_data_size));
   const json::Value* w = v.Find("workload");
   if (w != nullptr) {
     SMDB_ASSIGN_OR_RETURN(c.workload, WorkloadSpecFromJson(*w));

@@ -45,9 +45,6 @@ FuzzVerdict CrashScheduleFuzzer::RunCase(const FuzzCase& fuzz_case,
                                          RecoveryConfig protocol) {
   protocol = EffectiveProtocol(std::move(protocol));
   HarnessConfig base = MakeHarnessConfig(fuzz_case, protocol);
-  if (opts_.execution_threads > 1) {
-    base.exec.execution_threads = opts_.execution_threads;
-  }
   base.capture_digests = opts_.recovery_threads > 1;
   if (protocol.on_demand) {
     // Exercise the sweeper alongside first-touch discharge. The parallel
@@ -297,7 +294,6 @@ std::string CrashScheduleFuzzer::ReplayJson(const FuzzFailure& failure,
             json::Value::Uint(failure.protocol.group_commit_max_batch));
   }
   doc.Set("on_demand", json::Value::Bool(failure.protocol.on_demand));
-  doc.Set("execution_threads", json::Value::Uint(opts_.execution_threads));
   doc.Set("forensics_enabled", json::Value::Bool(opts_.forensics));
   doc.Set("trace_capacity", json::Value::Uint(opts_.trace_capacity));
   doc.Set("case", shrunk.ToJson());
@@ -346,9 +342,13 @@ Result<CrashScheduleFuzzer::ReplayDoc> CrashScheduleFuzzer::ParseReplay(
   // Absent in documents that predate on-demand recovery: off.
   out.on_demand = doc.GetBool("on_demand");
   out.protocol.on_demand = out.on_demand;
-  // Absent in documents that predate execution sharding: serial.
-  uint64_t exec_w = doc.GetUint("execution_threads");
-  out.execution_threads = exec_w == 0 ? 1 : static_cast<uint32_t>(exec_w);
+  // Documents recorded with sharded transaction execution ran their steal
+  // flushes at batch barriers, a schedule no current run can reproduce.
+  if (doc.GetUint("execution_threads") > 1) {
+    return Status::InvalidArgument(
+        "replay: recorded with execution_threads > 1 (steal flushes "
+        "deferred to batch barriers); this schedule cannot be replayed");
+  }
   // Absent in documents that predate the observability layer: defaults.
   if (doc.Find("forensics_enabled") != nullptr) {
     out.forensics_enabled = doc.GetBool("forensics_enabled");
@@ -360,6 +360,10 @@ Result<CrashScheduleFuzzer::ReplayDoc> CrashScheduleFuzzer::ParseReplay(
     return Status::InvalidArgument("replay: missing case");
   }
   SMDB_ASSIGN_OR_RETURN(out.fuzz_case, FuzzCase::FromJson(*c));
+  Status valid = MakeHarnessConfig(out.fuzz_case, out.protocol).Validate();
+  if (!valid.ok()) {
+    return Status::InvalidArgument("replay: " + valid.message());
+  }
   const json::Value* fail = doc.Find("failure");
   if (fail != nullptr) {
     out.recorded_kind = fail->GetString("kind");

@@ -106,12 +106,6 @@ class CrashScheduleFuzzer {
     /// sweeper. Orthogonal to protocol identity — the same IFA predicates
     /// must hold.
     bool on_demand = false;
-    /// Shard transaction execution across this many ThreadPool workers
-    /// (HarnessConfig::exec.execution_threads) in every run. The
-    /// schedule-replay batcher keeps results digest-identical to serial,
-    /// so this adds no new failure semantics — it is a concurrency matrix
-    /// knob for sanitizer builds.
-    uint32_t execution_threads = 1;
     /// On failure, re-run the shrunk reproducer with event tracing on and
     /// embed a bounded forensic report (trace tails, the offending
     /// object's log chain, lock state, tag-scan decisions) in the replay
@@ -166,9 +160,6 @@ class CrashScheduleFuzzer {
     /// On-demand recovery flag of the failing run (absent in older
     /// documents: off).
     bool on_demand = false;
-    /// Execution-sharding width of the producing campaign (absent in
-    /// older documents: serial).
-    uint32_t execution_threads = 1;
     /// Observability settings of the producing campaign (absent in older
     /// documents: forensics on, default capacity).
     bool forensics_enabled = true;

@@ -454,78 +454,4 @@ std::mutex& LockTable::StripeFor(uint64_t name) const {
   return stripe_mu_[HashName(name) % kLatchStripes];
 }
 
-uint32_t LockTable::SnoopFindSlot(uint64_t name, bool create,
-                                  std::vector<LineAddr>* lines,
-                                  LockPrediction::Outcome* outcome) const {
-  uint32_t h = static_cast<uint32_t>(HashName(name) % config_.buckets);
-  uint32_t limit = std::min(kProbeLimit, config_.buckets);
-  uint32_t first_empty = config_.buckets;  // sentinel
-  for (uint32_t i = 0; i < limit; ++i) {
-    uint32_t slot = (h + i) % config_.buckets;
-    uint64_t stored = 0;
-    Status s = machine_->SnoopRead(SlotBase(slot), &stored, sizeof(stored));
-    if (!s.ok()) continue;  // lost slot header: FindSlot skips it too
-    // The real probe's coherent read touches this line, so it belongs to
-    // the step's footprint even when the probe moves on.
-    lines->push_back(SlotFirstLine(slot));
-    if (stored == name) return slot;
-    if (stored == 0 && first_empty == config_.buckets) first_empty = slot;
-  }
-  if (create && first_empty != config_.buckets) return first_empty;
-  if (create) *outcome = LockPrediction::Outcome::kTryAgain;
-  return config_.buckets;
-}
-
-LockPrediction LockTable::Predict(TxnId txn, uint64_t name,
-                                  LockMode mode) const {
-  LockPrediction p;
-  uint32_t slot = SnoopFindSlot(name, /*create=*/true, &p.lines, &p.outcome);
-  if (slot == config_.buckets) return p;  // kTryAgain from the probe
-  for (uint32_t i = 0; i < codec_.lines(); ++i) {
-    p.lines.push_back(SlotFirstLine(slot) + i);
-  }
-  std::vector<uint8_t> buf(codec_.bytes());
-  Status s = machine_->SnoopRead(SlotBase(slot), buf.data(), buf.size());
-  if (!s.ok()) {
-    p.outcome = LockPrediction::Outcome::kLost;  // partial two-line loss
-    return p;
-  }
-  Lcb lcb = codec_.Decode(buf.data());
-  LockEntry* mine = lcb.FindHolder(txn);
-  if (mine != nullptr) {
-    if (mine->mode == LockMode::kExclusive || mine->mode == mode) {
-      p.outcome = LockPrediction::Outcome::kHeld;
-    } else if (lcb.holders.size() == 1) {
-      p.outcome = LockPrediction::Outcome::kGranted;  // sole-holder upgrade
-    } else {
-      p.outcome = LockPrediction::Outcome::kQueued;
-    }
-    return p;
-  }
-  if (lcb.CanGrant(txn, mode) &&
-      lcb.holders.size() < codec_.holders_capacity()) {
-    p.outcome = LockPrediction::Outcome::kGranted;
-    return p;
-  }
-  // Conflict or waiter-capacity rejection: either way the step is not
-  // batchable, so the coarse kQueued classification is enough.
-  p.outcome = LockPrediction::Outcome::kQueued;
-  return p;
-}
-
-std::vector<LockEntry> LockTable::SnoopWaiters(uint64_t name,
-                                               bool* lost) const {
-  if (lost != nullptr) *lost = false;
-  std::vector<LineAddr> scratch;
-  LockPrediction::Outcome oc = LockPrediction::Outcome::kQueued;
-  uint32_t slot = SnoopFindSlot(name, /*create=*/false, &scratch, &oc);
-  if (slot == config_.buckets) return {};
-  std::vector<uint8_t> buf(codec_.bytes());
-  if (!machine_->SnoopRead(SlotBase(slot), buf.data(), buf.size()).ok()) {
-    if (lost != nullptr) *lost = true;
-    return {};
-  }
-  return codec_.Decode(buf.data()).waiters;
-}
-
 }  // namespace smdb

@@ -68,11 +68,11 @@ struct LatencyReport {
 };
 
 /// Aggregates latency, throughput, and availability signals from the
-/// instrumented subsystems. Emission sites may fire from concurrent
-/// execution workers; a single latch serialises them. Every aggregate is
-/// order-insensitive (histogram buckets, ts-keyed series windows, keyed
+/// instrumented subsystems. Emission sites may fire from the on-demand
+/// sweeper's pool workers; a single latch serialises them. Every aggregate
+/// is order-insensitive (histogram buckets, ts-keyed series windows, keyed
 /// maps), so for a fixed seed the snapshot is deterministic at any
-/// recovery / executor thread width.
+/// recovery thread width.
 class Observatory {
  public:
   Observatory(uint16_t num_nodes, ObsConfig config);

@@ -9,55 +9,10 @@
 
 #include "common/json.h"
 #include "common/types.h"
-#include "obs/histogram.h"
 
 namespace smdb {
 
 struct HarnessReport;
-
-/// Why a drawn pick executed alone instead of joining a multi-pick batch.
-/// One reason is attributed per solo step (and per serial-gated step), so
-/// for any profiled run the per-reason counts sum exactly to
-/// ShardStats::solo_steps — the invariant smdb_profile_check and the
-/// obs_test matrix pin. The taxonomy maps one-to-one onto the actual
-/// rejection points in SystemExecutor::RunBatches / NodeExecutor::Peek.
-enum class BatchRejectReason : uint8_t {
-  // Serial gates: batching bypassed for the whole run regardless of width.
-  kSerialGatedGroupCommit,  ///< commit pipeline coalesces forces on poll order
-  kSerialGatedOnDemand,     ///< first-touch recovery hooks have no footprint
-
-  // Exclusive picks (Peek/PlanPick could not prove the step batchable).
-  kPollLock,              ///< step polls a queued lock
-  kPollCommit,            ///< step polls a pending group commit
-  kRestart,               ///< txn annulled underneath the script: restart
-  kAbortOp,               ///< rollback walks the log
-  kLockNotGrantable,      ///< Predict: would queue / spin / deadlock-abort
-  kInvalidArg,            ///< malformed op ends in HandleAbort
-  kWaiterPromotion,       ///< commit releases a lock with waiters (cross-node
-                          ///< promotion log append)
-  kStableTriggeredIndex,  ///< index op under ST-LBM: unknown forced logs
-  kStableTriggeredClearTag,  ///< commit-time ClearTag under ST-LBM
-  kLostLine,              ///< footprint touches a lost line (error path)
-
-  // Batch-dynamic conflicts (the pick was batchable but collided with the
-  // open batch, closing it; attributed when the closed batch had size 1).
-  kRecordFootprintCollision,  ///< slot/header line already in the batch
-  kLockStripeCollision,       ///< LCB probe-window line already in the batch
-  kIndexDescentCollision,     ///< second index-descending pick (token held)
-  kForcedLogCollision,        ///< ST-LBM third-party force targets a member
-  kPerNodeCap,                ///< ≤1-pick-per-node rule
-  kSuccessorExclusive,        ///< next draw was exclusive and closed the batch
-
-  // Structural closes and barriers.
-  kTerminalClose,    ///< pick may idle its executor: ready set would change
-  kIndexTokenClose,  ///< index token must be the batch's last member
-  kBudgetBarrier,    ///< crash / checkpoint / max_steps schedule barrier
-  kDrained,          ///< every live executor went idle mid-batch
-  kUnclassified,     ///< fallback; must stay zero in practice
-};
-inline constexpr size_t kNumBatchRejectReasons =
-    static_cast<size_t>(BatchRejectReason::kUnclassified) + 1;
-const char* BatchRejectReasonName(BatchRejectReason r);
 
 /// Why an on-demand sweeper discharge ran solo (off the ThreadPool batch
 /// path). `sweeper.solo.<reason>` in the metrics snapshot.
@@ -76,7 +31,7 @@ const char* SweeperSoloReasonName(SweeperSoloReason r);
 /// Hierarchical sim-time phases. Roots (kStep, kSweep, kRecovery) open a
 /// coordinator-thread attribution window; the others nest inside it.
 enum class ProfPhase : uint8_t {
-  kStep,      ///< one solo / serial executor step
+  kStep,      ///< one executor step
   kSweep,     ///< one solo sweeper discharge
   kRecovery,  ///< the eager crash-time recovery prefix
   kLockWait,
@@ -89,11 +44,8 @@ enum class ProfPhase : uint8_t {
 const char* ProfPhaseName(ProfPhase p);
 
 struct ProfilerConfig {
-  /// Runtime switch. When on, the SystemExecutor additionally pins its
-  /// batch planner at a canonical width (max(execution_threads, 8)) so
-  /// reason counts and occupancy are comparable across widths; the
-  /// StateDigest is plan-width-invariant by the schedule-replay
-  /// construction, so enabling the profiler never changes the final state.
+  /// Runtime switch. Profiling only reads the simulated clock, so enabling
+  /// it never changes the schedule or the final state.
   bool enabled = false;
 };
 
@@ -109,30 +61,24 @@ struct ProfPhaseCell {
 /// Copyable end-of-run snapshot (rides in HarnessReport::profile).
 struct ProfilerReport {
   bool enabled = false;
-  std::array<uint64_t, kNumBatchRejectReasons> reject{};
   std::array<uint64_t, kNumSweeperSoloReasons> sweeper_solo{};
-  /// Steps per dispatched batch (1 = solo) / distinct footprint lines per
-  /// batch, at the *planning* width (canonical ≥8 when profiling).
-  Histogram batch_occupancy;
-  Histogram batch_footprint_lines;
   /// Keyed by semicolon-joined phase path ("step;apply;wal_append").
   std::map<std::string, ProfPhaseCell> phases;
 
-  uint64_t reject_total() const;
   uint64_t sweeper_solo_total() const;
   json::Value ToJson() const;
   /// flamegraph.pl-compatible collapsed stacks: "stack ns\n" per bucket.
   std::string ToCollapsed() const;
 };
 
-/// The execution/recovery profiler: conflict-reason attribution for the
-/// sharded executor and the on-demand sweeper, plus exact sim-time cost
-/// accounting. Time attribution piggybacks on Machine::Tick — every
-/// simulated-time charge that lands while a root scope is open on the
-/// current thread is credited to the innermost phase path, so there is no
-/// clock sampling, no self-time reconstruction, and (because roots only
-/// open on the coordinator's solo/serial paths) no cross-thread traffic.
-/// Pool workers see a thread_local depth of zero and skip in one branch.
+/// The execution/recovery profiler: solo-discharge attribution for the
+/// on-demand sweeper, plus exact sim-time cost accounting. Time
+/// attribution piggybacks on Machine::Tick — every simulated-time charge
+/// that lands while a root scope is open on the current thread is credited
+/// to the innermost phase path, so there is no clock sampling, no self-time
+/// reconstruction, and (because roots only open on the coordinator thread)
+/// no cross-thread traffic. The sweeper's pool workers see a thread_local
+/// depth of zero and skip in one branch.
 class Profiler {
  public:
   explicit Profiler(ProfilerConfig cfg = {}) : enabled_(cfg.enabled) {}
@@ -154,15 +100,8 @@ class Profiler {
   static bool InScope() { return tl_depth_ > 0; }
 
   // -- Conflict attribution (coordinator thread only) ---------------------
-  void CountReject(BatchRejectReason r) {
-    ++reject_[static_cast<size_t>(r)];
-  }
   void CountSweeperSolo(SweeperSoloReason r) {
     ++sweeper_solo_[static_cast<size_t>(r)];
-  }
-  void RecordBatch(uint64_t occupancy, uint64_t footprint_lines) {
-    occupancy_.Record(occupancy);
-    footprint_.Record(footprint_lines);
   }
 
   // -- Sim-time attribution (use ProfRoot / ProfScope, not these) ---------
@@ -184,18 +123,15 @@ class Profiler {
   static thread_local uint32_t tl_depth_;
 
   bool enabled_ = false;
-  std::array<uint64_t, kNumBatchRejectReasons> reject_{};
   std::array<uint64_t, kNumSweeperSoloReasons> sweeper_solo_{};
-  Histogram occupancy_;
-  Histogram footprint_;
   std::map<std::string, ProfPhaseCell> cells_;
   std::string path_;
   std::vector<size_t> frames_;  ///< path_ lengths to restore on Exit
   ProfPhaseCell* cur_ = nullptr;
 };
 
-/// RAII attribution window for one coordinator-path unit of work (a solo
-/// step, a sweeper discharge, the recovery prefix). No-ops when the
+/// RAII attribution window for one coordinator-path unit of work (an
+/// executor step, a sweeper discharge, the recovery prefix). No-ops when the
 /// profiler is null/disabled or a root is already open on this thread.
 class ProfRoot {
  public:
@@ -245,7 +181,7 @@ class ProfScope {
 
 /// Assembles the standalone profile document `smdb_run --profile-out` and
 /// bench_throughput write (and smdb_profile_check validates): the profiler
-/// snapshot plus the executor/sweeper occupancy counters it is gated on.
+/// snapshot plus the sweeper's batch counters.
 json::Value ProfileJsonFromReport(const HarnessReport& report);
 
 }  // namespace smdb

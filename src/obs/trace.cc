@@ -23,7 +23,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kCrash: return "crash";
     case TraceEventKind::kRecoveryPhase: return "recovery_phase";
     case TraceEventKind::kTagDecision: return "tag_decision";
-    case TraceEventKind::kBatchReject: return "batch_reject";
     case TraceEventKind::kSweepSolo: return "sweep_solo";
   }
   return "unknown";

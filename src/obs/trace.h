@@ -46,8 +46,7 @@ enum class TraceEventKind : uint8_t {
   kTagDecision,    ///< tag-scan verdict; label = "heap-undo"|"heap-stale"|
                    ///< "index-undo"|"index-stale", a = rid/key, txn = owner
 
-  // Profiler events (txn/executor.cc, core/on_demand.cc).
-  kBatchReject,  ///< a pick executed solo; label = BatchRejectReasonName
+  // Profiler events (core/on_demand.cc).
   kSweepSolo,    ///< a sweeper discharge ran solo; label = SweeperSoloReasonName
 };
 

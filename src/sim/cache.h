@@ -64,10 +64,10 @@ class Cache {
 
  private:
   uint32_t line_size_;
-  /// Guards lines_'s structure: sharded execution invalidates lines in a
-  /// remote node's cache while that node inserts others. Entry references
-  /// stay valid across inserts; same-entry mutation is excluded by the
-  /// executor's footprint-disjoint batching. ForEachLine/size are reserved
+  /// Guards lines_'s structure: an on-demand sweeper pool batch can
+  /// invalidate lines in a remote node's cache while that node inserts
+  /// others. Entry references stay valid across inserts; same-entry
+  /// mutation is excluded by the sweeper's one-record-per-page batches. ForEachLine/size are reserved
   /// for quiescent points. unique_ptr keeps Cache movable (Machine stores
   /// caches in a vector).
   std::unique_ptr<std::mutex> mu_;

@@ -44,12 +44,12 @@ struct DirEntry {
 /// the memory controllers; here it is a single map, which is equivalent for
 /// a functional + timing simulation.
 ///
-/// Thread safety: the map *structure* is latched so sharded execution can
-/// look up / create entries for different lines concurrently. Returned
-/// DirEntry references stay valid across inserts (unordered_map never
-/// relocates elements); concurrent mutation of the *same* entry is
-/// excluded by the executor's footprint-disjoint batching, not by this
-/// latch. ForEach is reserved for quiescent points (recovery, digests).
+/// Thread safety: the map *structure* is latched so the on-demand
+/// sweeper's pool batches can look up / create entries for different lines
+/// concurrently. Returned DirEntry references stay valid across inserts
+/// (unordered_map never relocates elements); concurrent mutation of the
+/// *same* entry is excluded by the sweeper admitting at most one record
+/// per page into a batch, not by this latch. ForEach is reserved for quiescent points (recovery, digests).
 class Directory {
  public:
   /// Returns the entry for `line`, creating it with the given home node if

@@ -241,8 +241,8 @@ class Machine {
   Observatory* obs_ = nullptr;
   Profiler* prof_ = nullptr;
 
-  std::mutex alloc_mu_;  // guards next_addr_ (B-tree splits allocate
-                         // pages from a worker thread mid-batch)
+  std::mutex alloc_mu_;  // guards next_addr_ (pages are allocated on
+                         // the coordinator thread; kept for pool callers)
   Addr next_addr_ = 0;
   std::unordered_map<LineAddr, NodeId> home_override_;
 

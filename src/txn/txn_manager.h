@@ -213,17 +213,6 @@ class TxnManager {
   TxnManagerStats& stats() { return stats_; }
   const RecoveryConfig& config() const { return config_; }
 
-  /// True when the group-commit pipeline is attached (Commit may return
-  /// Busy and commits coalesce across nodes — the sharded executor falls
-  /// back to serial stepping to keep the pipeline's timing serial).
-  bool group_commit_attached() const { return gc_ != nullptr; }
-  /// True when on-demand recovery's first-touch hooks are installed (any
-  /// operation may recursively discharge recovery obligations — serial
-  /// only).
-  bool recovery_touch_set() const {
-    return static_cast<bool>(touch_record_) || static_cast<bool>(touch_key_);
-  }
-
   /// Optional event tracer (owned by Database); null = no tracing.
   void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
   /// Optional latency observatory (owned by Database); null = none.
@@ -283,11 +272,9 @@ class TxnManager {
   TouchRecordFn touch_record_;  // unset when on-demand recovery is off
   TouchKeyFn touch_key_;
 
-  /// Guards txns_ / waiting_for_ / parallel_ / groups_ structure: Begin
-  /// inserts and lock-wait edges are mutated from concurrent execution
-  /// workers. Transaction objects themselves are touched only by their own
-  /// node's pick (footprint batching admits at most one pick per node), so
-  /// the latch covers map structure, never Transaction fields. Ordering:
+  /// Guards txns_ / waiting_for_ / parallel_ / groups_ structure. Steps
+  /// run on one thread, so the latch is uncontended; it covers map
+  /// structure, never Transaction fields. Ordering:
   /// txn_mu_ may be held across LockTable calls (WouldDeadlock's DFS), so
   /// the lock-table stripe latches nest inside it, never the reverse.
   mutable std::mutex txn_mu_;

@@ -106,10 +106,10 @@ void ForEachCounter(const LogStats& s, Fn&& fn) {
 
 /// Per-node write-ahead logs with volatile in-cache tails.
 ///
-/// Thread safety: every log is guarded by its own node mutex, so sharded
-/// execution can append to different nodes' logs concurrently, and a
-/// cross-node force (WAL gate, triggered LBM, lock-grant logging during a
-/// remote commit's waiter promotion) serialises against the owner's
+/// Thread safety: every log is guarded by its own node mutex, so recovery's
+/// parallel log scans read different nodes' logs concurrently, and a
+/// cross-node force (the triggered LBM's coherence hook, which an
+/// on-demand sweeper pool batch can fire) serialises against the owner's
 /// appends. Force hooks fire *outside* the node latch — the triggered LBM
 /// policy takes its own mutex and may force further logs, and holding the
 /// node latch across that would invert the lbm->log lock order.

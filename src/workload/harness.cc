@@ -3,8 +3,80 @@
 #include <algorithm>
 
 #include "core/on_demand.h"
+#include "db/page_layout.h"
 
 namespace smdb {
+
+Status HarnessConfig::Validate() const {
+  using std::to_string;
+  const uint16_t nodes = db.machine.num_nodes;
+  if (nodes == 0 || nodes > kMaxNodes) {
+    return Status::InvalidArgument("num_nodes must be in 1.." +
+                                   to_string(kMaxNodes) + ", got " +
+                                   to_string(nodes));
+  }
+  const uint32_t line = db.machine.line_size;
+  if (line == 0 || db.page_size < 2 * line || db.page_size % line != 0) {
+    return Status::InvalidArgument(
+        "page_size must be a multiple (>= 2) of line_size");
+  }
+  if (db.record_data_size == 0 ||
+      PageLayout::kSlotHeaderBytes + db.record_data_size > line) {
+    return Status::InvalidArgument(
+        "record_data_size must be in 1.." +
+        to_string(line - PageLayout::kSlotHeaderBytes) +
+        " (one slot per cache line at most), got " +
+        to_string(db.record_data_size));
+  }
+  if (db.lock_table.buckets == 0) {
+    return Status::InvalidArgument("lock_table.buckets must be > 0");
+  }
+  if (num_records == 0) {
+    return Status::InvalidArgument("num_records must be > 0");
+  }
+  const std::pair<const char*, double> ratios[] = {
+      {"write_ratio", workload.write_ratio},
+      {"index_op_ratio", workload.index_op_ratio},
+      {"dirty_read_ratio", workload.dirty_read_ratio},
+      {"shared_fraction", workload.shared_fraction},
+      {"voluntary_abort_ratio", workload.voluntary_abort_ratio},
+      {"steal_flush_prob", steal_flush_prob},
+  };
+  for (const auto& [name, v] : ratios) {
+    if (!(v >= 0.0 && v <= 1.0)) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be in [0, 1]");
+    }
+  }
+  if (!(workload.zipf_theta >= 0.0 && workload.zipf_theta < 1.0)) {
+    return Status::InvalidArgument("zipf_theta must be in [0, 1)");
+  }
+  if (workload.index_key_space == 0) {
+    return Status::InvalidArgument("index_key_space must be > 0");
+  }
+  for (const CrashPlan& plan : crashes) {
+    if (plan.nodes.empty()) {
+      return Status::InvalidArgument("crash plan names no node");
+    }
+    for (NodeId n : plan.nodes) {
+      if (n >= nodes) {
+        return Status::InvalidArgument(
+            "crash plan at step " + to_string(plan.at_step) +
+            " names node " + to_string(n) + " of a " + to_string(nodes) +
+            "-node machine");
+      }
+    }
+  }
+  for (uint32_t t : recovery_thread_overrides) {
+    if (t == 0) {
+      return Status::InvalidArgument("recovery thread overrides must be > 0");
+    }
+  }
+  if (pump_recovery_per_step < 0) {
+    return Status::InvalidArgument("pump_recovery_per_step must be >= 0");
+  }
+  return Status::Ok();
+}
 
 Harness::Harness(HarnessConfig config)
     : config_(std::move(config)), rng_(config_.seed) {}
@@ -13,6 +85,7 @@ Harness::~Harness() = default;
 
 Status Harness::Setup() {
   if (setup_done_) return Status::Ok();
+  SMDB_RETURN_IF_ERROR(config_.Validate());
   db_ = std::make_unique<Database>(config_.db);
   checker_ = std::make_unique<IfaChecker>(db_.get());
   db_->txn().AddObserver(checker_.get());
@@ -29,7 +102,6 @@ Status Harness::Setup() {
                                            config_.seed ^ 0x5eed,
                                            config_.exec);
   exec_->set_profiler(db_->profiler_ptr());
-  exec_->set_tracer(db_->tracer_ptr());
   for (NodeId n = 0; n < config_.db.machine.num_nodes; ++n) {
     for (auto& s : scripts[n]) exec_->executor(n).Enqueue(std::move(s));
   }
@@ -120,59 +192,20 @@ Result<HarnessReport> Harness::Run() {
       }
     }
 
-    if (exec_->execution_threads() <= 1 && !db_->profiler().enabled()) {
-      // Classic path: one step, then the per-step daemons — byte-for-byte
-      // the pre-sharding behaviour. A profiled width-1 run routes through
-      // RunBatches instead so reject attribution sees the same canonical
-      // batch plan as every other width (execution stays sequential and
-      // bit-identical when steal_flush_prob is 0).
-      if (!exec_->StepOnce()) break;
+    if (!exec_->StepOnce()) break;
 
-      if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
-        SMDB_ASSIGN_OR_RETURN(
-            int swept, db_->PumpRecovery(config_.pump_recovery_per_step));
-        (void)swept;
-      }
-      if (config_.steal_flush_prob > 0.0 &&
-          rng_.Bernoulli(config_.steal_flush_prob)) {
-        // The daemon pauses while Recovering: a steal flush could overwrite
-        // a stable image that pending lazy redo still needs to load from.
-        // (The Bernoulli draw stays unconditional so the rng stream matches
-        // runs without the pause.)
-        if (!db_->RecoveringActive()) SMDB_RETURN_IF_ERROR(StealFlushOne());
-      }
-    } else {
-      // Sharded path: run up to the next schedule barrier (crash plan,
-      // checkpoint multiple, max_steps) as footprint-disjoint batches, then
-      // replay the per-step daemons in step order. The harness rng draws
-      // the identical sequence either way; only steal-flush timing is
-      // batch-granular.
-      uint64_t budget = config_.max_steps - exec_->steps();
-      if (next_crash < config_.crashes.size()) {
-        budget = std::min(budget,
-                          config_.crashes[next_crash].at_step - exec_->steps());
-      }
-      if (config_.checkpoint_every_steps > 0) {
-        uint64_t n = config_.checkpoint_every_steps;
-        budget = std::min(budget, n - (exec_->steps() % n));
-      }
-      if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
-        // The sweeper must interleave with every step while Recovering.
-        budget = 1;
-      }
-      uint64_t executed = exec_->RunBatches(budget);
-      if (executed == 0) break;
-      for (uint64_t i = 0; i < executed; ++i) {
-        if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
-          SMDB_ASSIGN_OR_RETURN(
-              int swept, db_->PumpRecovery(config_.pump_recovery_per_step));
-          (void)swept;
-        }
-        if (config_.steal_flush_prob > 0.0 &&
-            rng_.Bernoulli(config_.steal_flush_prob)) {
-          if (!db_->RecoveringActive()) SMDB_RETURN_IF_ERROR(StealFlushOne());
-        }
-      }
+    if (config_.pump_recovery_per_step > 0 && db_->RecoveringActive()) {
+      SMDB_ASSIGN_OR_RETURN(
+          int swept, db_->PumpRecovery(config_.pump_recovery_per_step));
+      (void)swept;
+    }
+    if (config_.steal_flush_prob > 0.0 &&
+        rng_.Bernoulli(config_.steal_flush_prob)) {
+      // The daemon pauses while Recovering: a steal flush could overwrite
+      // a stable image that pending lazy redo still needs to load from.
+      // (The Bernoulli draw stays unconditional so the rng stream matches
+      // runs without the pause.)
+      if (!db_->RecoveringActive()) SMDB_RETURN_IF_ERROR(StealFlushOne());
     }
     if (config_.checkpoint_every_steps > 0 &&
         exec_->steps() % config_.checkpoint_every_steps == 0) {
@@ -226,7 +259,6 @@ void Harness::FillReport(HarnessReport* report) {
   report->steps = exec_->steps();
   report->total_time_ns = db_->machine().GlobalTime();
   report->latency = db_->observatory().Snapshot();
-  report->shard = exec_->shard_stats();
   if (db_->on_demand() != nullptr) {
     report->sweep_batches = db_->on_demand()->stats().sweep_batches;
     report->sweep_batched_records =

@@ -15,12 +15,7 @@ namespace smdb {
 
 struct HarnessConfig {
   DatabaseConfig db;
-  /// Execution sharding: width 1 (default) is the classic single-threaded
-  /// dispatch loop, bit-for-bit; width N > 1 batches footprint-disjoint
-  /// steps of the same seeded schedule across the ThreadPool. Steal-flush
-  /// daemon timing is then batch-granular (the differential width matrix
-  /// runs with steal_flush_prob = 0, where the final state is provably
-  /// width-invariant).
+  /// Execution settings (none are settable; see ExecutionConfig).
   ExecutionConfig exec;
   WorkloadSpec workload;
   size_t num_records = 256;
@@ -54,6 +49,14 @@ struct HarnessConfig {
   /// exactly one recovery of a multi-crash schedule while every other
   /// recovery stays serial, so earlier digests are comparable one by one.
   std::vector<uint32_t> recovery_thread_overrides;
+
+  /// InvalidArgument naming the first setting the simulator cannot run:
+  /// machine size outside 1..kMaxNodes, an empty table, a record slot that
+  /// does not fit one cache line, a ratio outside [0, 1], a Zipf skew
+  /// outside [0, 1), a crash plan naming no node or a node the machine
+  /// does not have, a zero recovery-thread override. Harness::Setup runs
+  /// it first; the CLIs and the fuzzer's replay parser run it on input.
+  Status Validate() const;
 };
 
 /// A crash plan that never fired, and why. The fuzzer needs this to tell
@@ -88,9 +91,6 @@ struct HarnessReport {
   /// Observatory snapshot; enabled=false (and otherwise empty) unless
   /// DatabaseConfig::obs.enabled was set.
   LatencyReport latency;
-  /// Batch-occupancy counters from the sharded executor (all zero on the
-  /// classic width-1 unprofiled path).
-  SystemExecutor::ShardStats shard;
   /// On-demand sweeper parallel-batch counters (zero when on_demand is off
   /// or the sweeper never batched).
   uint64_t sweep_batches = 0;

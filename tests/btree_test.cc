@@ -217,6 +217,40 @@ TEST(BTreeTest, RedoIndexOpIdempotent) {
   EXPECT_FALSE(r->has_value());
 }
 
+// Redo of a compensation insert (the logged undo of a delete) must revive
+// the deleter's tagged tombstone in place, as UndoDelete did. Taking a
+// fresh slot, as a plain re-insert does, left the tombstone for a later
+// undo pass to revive a second time: two live entries for one key.
+TEST(BTreeTest, RedoOfCompensationInsertRevivesTombstoneInPlace) {
+  TreeFixture f;
+  IndexOpPayload ins;
+  ins.tree_id = 1;
+  ins.op = IndexOpPayload::Op::kInsert;
+  ins.key = 72;
+  ins.value = {2, 22};
+  ins.usn = 45;
+  ASSERT_TRUE(f.tree().RedoIndexOp(0, ins, kTagNone).ok());
+  IndexOpPayload del = ins;  // an uncommitted delete by a node-5 txn
+  del.op = IndexOpPayload::Op::kDelete;
+  del.usn = 113;
+  ASSERT_TRUE(f.tree().RedoIndexOp(0, del, TagForNode(5)).ok());
+  IndexOpPayload clr = ins;  // its compensation, logged by recovery
+  clr.usn = 116;
+  clr.is_clr = true;
+  ASSERT_TRUE(f.tree().RedoIndexOp(0, clr, kTagNone).ok());
+
+  auto entries = f.tree().EntriesForKey(0, 72);
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries->size(), 1u);
+  EXPECT_EQ((*entries)[0].entry.state, LeafEntryState::kLive);
+  EXPECT_EQ((*entries)[0].entry.tag, kTagNone);
+  EXPECT_EQ((*entries)[0].entry.usn, 116u);
+  // A later undo of the same delete finds no tombstone left to revive.
+  Status again = f.tree().UndoDelete(0, MakeTxnId(5, 4), 72, nullptr,
+                                     /*log_clr=*/false);
+  EXPECT_TRUE(again.IsNotFound()) << again.ToString();
+}
+
 TEST(BTreeTest, EntriesInLineFindsTaggedEntries) {
   TreeFixture f;
   TxnId t = MakeTxnId(2, 1);

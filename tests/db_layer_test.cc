@@ -195,6 +195,20 @@ TEST(WalTableTest, RequirementsTrackPerNodeMax) {
   EXPECT_TRUE(wt.Requirements(7).empty());
 }
 
+// Redo re-notes a surviving node's older records for a page while that
+// node's newer, still-volatile update to the page stays in memory. The
+// requirement must not drop to the older LSN, or a steal flush would
+// write the newer update to disk ahead of its log record.
+TEST(WalTableTest, RequirementNeverDecreases) {
+  WalTable wt(6);
+  wt.NoteUpdate(2, 5, 83);
+  wt.NoteUpdate(2, 5, 62);
+  wt.NoteUpdate(2, 5, 71);
+  auto req = wt.Requirements(2);
+  ASSERT_EQ(req.size(), 1u);
+  EXPECT_EQ(req[0], (std::pair<NodeId, Lsn>{5, 83}));
+}
+
 TEST(DiskTest, ReadWriteAndCosts) {
   MachineConfig mc;
   mc.num_nodes = 2;

@@ -260,20 +260,14 @@ TEST(FuzzSmoke, RebootAllSurvivesSplitHeavySchedules) {
 
 TEST(FuzzSmoke, EnvDrivenCampaignMatrix) {
   // CI hook: SMDB_FUZZ_GROUP_COMMIT=1 / SMDB_FUZZ_ON_DEMAND=1 /
-  // SMDB_FUZZ_EXEC_THREADS=W / SMDB_FUZZ_JOBS=N re-run a slice of
-  // the default campaign in the sanitizer build's configuration without a
-  // dedicated test binary per matrix cell. Unset, this is a plain small
-  // serial campaign.
+  // SMDB_FUZZ_JOBS=N re-run a slice of the default campaign in the
+  // sanitizer build's configuration without a dedicated test binary per
+  // matrix cell. Unset, this is a plain small serial campaign.
   CrashScheduleFuzzer::Options opts;
   const char* gc = std::getenv("SMDB_FUZZ_GROUP_COMMIT");
   opts.group_commit = gc != nullptr && std::string(gc) == "1";
   const char* od = std::getenv("SMDB_FUZZ_ON_DEMAND");
   opts.on_demand = od != nullptr && std::string(od) == "1";
-  const char* ew = std::getenv("SMDB_FUZZ_EXEC_THREADS");
-  if (ew != nullptr) {
-    int v = std::atoi(ew);
-    if (v > 0) opts.execution_threads = static_cast<uint32_t>(v);
-  }
   const char* jobs_env = std::getenv("SMDB_FUZZ_JOBS");
   unsigned jobs = 1;
   if (jobs_env != nullptr) {

@@ -30,12 +30,11 @@
 //      are identical across recovery thread widths for a fixed seed.
 //  10. LogStats now stores force batches in a Histogram; the classic
 //      bucket counters derived from it match the old classification.
-//  11. Profiler determinism matrix: reject-reason counts are identical at
-//      every execution width (planning runs at the canonical width), they
-//      sum exactly to solo_steps, the StateDigest is bit-identical with
-//      the profiler on vs off, serial gates attribute every step, the
-//      sweeper's solo discharges are typed, and the collapsed-stack /
-//      JSON exports are well-formed.
+//  11. Profiler neutrality: the StateDigest, disk writes, log forces and
+//      sim time are bit-identical with the profiler on vs off (including a
+//      run with the steal-flush daemon active), the sweeper's solo
+//      discharges are typed, and the collapsed-stack / JSON exports are
+//      well-formed.
 
 #include <gtest/gtest.h>
 
@@ -845,78 +844,47 @@ constexpr bool kProfilerCompiledOut = false;
     GTEST_SKIP() << "profiler compiled out (SMDB_PROFILER_DISABLED)"; \
   }
 
-HarnessConfig ProfiledConfig(uint32_t exec_threads, bool prof_on = true) {
+HarnessConfig ProfiledConfig(bool prof_on = true) {
   HarnessConfig cfg = TracedConfig(/*recovery_threads=*/1);
   cfg.db.trace.enabled = false;
   cfg.db.profiler.enabled = prof_on;
-  cfg.exec.execution_threads = exec_threads;
   cfg.capture_digests = true;
   return cfg;
 }
 
-uint64_t RejectSum(const ProfilerReport& p) {
-  uint64_t sum = 0;
-  for (uint64_t c : p.reject) sum += c;
-  return sum;
-}
-
-TEST(ProfilerDeterminism, ReasonCountsInvariantAcrossWidthsAndSumToSolo) {
-  SMDB_SKIP_IF_PROFILER_COMPILED_OUT();
-  std::optional<HarnessReport> w1;
-  for (uint32_t w : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("exec width " + std::to_string(w));
-    Harness h(ProfiledConfig(w));
-    auto report = h.Run();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ASSERT_TRUE(report->verify_status.ok())
-        << report->verify_status.ToString();
-    ASSERT_TRUE(report->profile.enabled);
-
-    // The load-bearing invariant: every solo step carries exactly one
-    // typed reason.
-    EXPECT_EQ(RejectSum(report->profile), report->shard.solo_steps);
-    EXPECT_EQ(report->profile.reject_total(), report->shard.solo_steps);
-    EXPECT_GT(report->shard.solo_steps, 0u);
-    EXPECT_GT(report->shard.batches, 0u)
-        << "canonical planning width must form multi-pick batches";
-    // The fallback bucket must stay empty — it would mean a rejection
-    // point the taxonomy does not cover.
-    EXPECT_EQ(report->profile.reject[static_cast<size_t>(
-                  BatchRejectReason::kUnclassified)],
-              0u);
-
-    if (w == 1) {
-      w1 = *report;
-      continue;
-    }
-    // Planning runs at the canonical width regardless of the execution
-    // width, so attribution — and the occupancy/footprint histograms —
-    // are width-invariant, as is the final state.
-    EXPECT_EQ(report->profile.reject, w1->profile.reject);
-    EXPECT_EQ(report->profile.sweeper_solo, w1->profile.sweeper_solo);
-    EXPECT_TRUE(report->profile.batch_occupancy ==
-                w1->profile.batch_occupancy);
-    EXPECT_TRUE(report->profile.batch_footprint_lines ==
-                w1->profile.batch_footprint_lines);
-    EXPECT_EQ(report->shard.batches, w1->shard.batches);
-    EXPECT_EQ(report->shard.batched_steps, w1->shard.batched_steps);
-    EXPECT_EQ(report->shard.solo_steps, w1->shard.solo_steps);
-    ASSERT_EQ(report->digests.size(), w1->digests.size());
-    for (size_t i = 0; i < report->digests.size(); ++i) {
-      EXPECT_TRUE(report->digests[i] == w1->digests[i])
-          << "digest " << i << " diverged at width " << w;
-    }
-  }
+// The standard mix (bench StandardConfig) at 200 txns/node with the steal
+// daemon flushing a dirty page on 1% of steps. Every flush forces the
+// logs the WAL gate names, so the number and placement of disk writes and
+// forces is sensitive to when each daemon draw lands relative to the steps.
+HarnessConfig StealConfig(bool prof_on) {
+  HarnessConfig cfg;
+  cfg.db.machine.num_nodes = 8;
+  cfg.db.recovery = RecoveryConfig::VolatileSelectiveRedo();
+  cfg.db.profiler.enabled = prof_on;
+  cfg.num_records = 256;
+  cfg.workload.txns_per_node = 200;
+  cfg.workload.ops_per_txn = 8;
+  cfg.workload.write_ratio = 0.5;
+  cfg.workload.index_op_ratio = 0.15;
+  cfg.workload.seed = 42;
+  cfg.seed = 42 ^ 0xBEEF;
+  cfg.steal_flush_prob = 0.01;
+  cfg.capture_digests = true;
+  return cfg;
 }
 
 TEST(ProfilerDeterminism, DigestsBitIdenticalProfilerOnVsOff) {
   SMDB_SKIP_IF_PROFILER_COMPILED_OUT();
-  for (uint32_t w : {1u, 4u}) {
-    SCOPED_TRACE("exec width " + std::to_string(w));
-    Harness off(ProfiledConfig(w, /*prof_on=*/false));
+  const std::pair<const char*, HarnessConfig (*)(bool)> inputs[] = {
+      {"crashing run", [](bool on) { return ProfiledConfig(on); }},
+      {"steal_flush_prob = 0.01", StealConfig},
+  };
+  for (const auto& [name, make] : inputs) {
+    SCOPED_TRACE(name);
+    Harness off(make(/*prof_on=*/false));
     auto off_report = off.Run();
     ASSERT_TRUE(off_report.ok()) << off_report.status().ToString();
-    Harness on(ProfiledConfig(w, /*prof_on=*/true));
+    Harness on(make(/*prof_on=*/true));
     auto on_report = on.Run();
     ASSERT_TRUE(on_report.ok()) << on_report.status().ToString();
 
@@ -932,49 +900,15 @@ TEST(ProfilerDeterminism, DigestsBitIdenticalProfilerOnVsOff) {
     }
     EXPECT_EQ(off_report->exec.committed, on_report->exec.committed);
     EXPECT_EQ(off_report->total_time_ns, on_report->total_time_ns);
-  }
-}
-
-TEST(ProfilerAttribution, SerialGatesAttributeEveryStep) {
-  SMDB_SKIP_IF_PROFILER_COMPILED_OUT();
-  // Group commit serial-gates the whole run: every step is a gated solo
-  // step, nothing batches, and all the mass lands on the one gate reason.
-  {
-    HarnessConfig cfg = ProfiledConfig(/*exec_threads=*/4);
-    cfg.crashes.clear();
-    cfg.db.recovery.group_commit = true;
-    Harness h(cfg);
-    auto report = h.Run();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->shard.batches, 0u);
-    EXPECT_GT(report->shard.solo_steps, 0u);
-    EXPECT_EQ(report->profile.reject[static_cast<size_t>(
-                  BatchRejectReason::kSerialGatedGroupCommit)],
-              report->shard.solo_steps);
-    EXPECT_EQ(RejectSum(report->profile), report->shard.solo_steps);
-  }
-  // On-demand recovery installs first-touch hooks with unknowable
-  // footprints: same shape, different gate.
-  {
-    HarnessConfig cfg = ProfiledConfig(/*exec_threads=*/4);
-    cfg.crashes.clear();
-    cfg.db.recovery.on_demand = true;
-    Harness h(cfg);
-    auto report = h.Run();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->shard.batches, 0u);
-    EXPECT_GT(report->shard.solo_steps, 0u);
-    EXPECT_EQ(report->profile.reject[static_cast<size_t>(
-                  BatchRejectReason::kSerialGatedOnDemand)],
-              report->shard.solo_steps);
-    EXPECT_EQ(RejectSum(report->profile), report->shard.solo_steps);
+    EXPECT_EQ(off_report->disk_writes, on_report->disk_writes);
+    EXPECT_EQ(off_report->logs.forces, on_report->logs.forces);
   }
 }
 
 TEST(ProfilerAttribution, SweeperSoloDischargesAreTypedAndDeterministic) {
   SMDB_SKIP_IF_PROFILER_COMPILED_OUT();
   auto run = [] {
-    HarnessConfig cfg = ProfiledConfig(/*exec_threads=*/1);
+    HarnessConfig cfg = ProfiledConfig();
     cfg.db.recovery.on_demand = true;
     cfg.pump_recovery_per_step = 1;
     Harness h(cfg);
@@ -994,7 +928,6 @@ TEST(ProfilerAttribution, SweeperSoloDischargesAreTypedAndDeterministic) {
                 SweeperSoloReason::kSerialSweep)],
             0u);
   EXPECT_EQ(a.sweeper_solo, b.sweeper_solo);
-  EXPECT_EQ(a.reject, b.reject);
   // Sweep discharges attribute their coherence/WAL costs under the sweep
   // root.
   bool saw_sweep_root = false;
@@ -1006,7 +939,7 @@ TEST(ProfilerAttribution, SweeperSoloDischargesAreTypedAndDeterministic) {
 
 TEST(ProfilerExport, CollapsedStackAndJsonAreWellFormed) {
   SMDB_SKIP_IF_PROFILER_COMPILED_OUT();
-  Harness h(ProfiledConfig(/*exec_threads=*/4));
+  Harness h(ProfiledConfig());
   auto report = h.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const ProfilerReport& p = report->profile;
@@ -1051,60 +984,41 @@ TEST(ProfilerExport, CollapsedStackAndJsonAreWellFormed) {
   const json::Value* prof = reparsed->Find("profiler");
   ASSERT_NE(prof, nullptr);
   EXPECT_TRUE(prof->GetBool("enabled"));
-  EXPECT_EQ(prof->GetUint("reject_total"),
-            reparsed->Find("executor")->GetUint("solo_steps"));
-  const json::Value* reject = prof->Find("reject");
-  ASSERT_NE(reject, nullptr);
-  EXPECT_EQ(reject->members().size(), kNumBatchRejectReasons)
+  const json::Value* solo = prof->Find("sweeper_solo");
+  ASSERT_NE(solo, nullptr);
+  EXPECT_EQ(solo->members().size(), kNumSweeperSoloReasons)
       << "zeros are exported too";
-  ASSERT_NE(prof->Find("sweeper_solo"), nullptr);
-  ASSERT_NE(prof->Find("batch_occupancy"), nullptr);
   ASSERT_NE(prof->Find("phases"), nullptr);
   ASSERT_NE(reparsed->Find("sweeper"), nullptr);
 }
 
 TEST(Metrics, ProfilerKeysPresentWhenEnabledAbsentWhenOff) {
-  Harness on(ProfiledConfig(/*exec_threads=*/2, /*prof_on=*/true));
+  Harness on(ProfiledConfig(/*prof_on=*/true));
   auto on_report = on.Run();
   ASSERT_TRUE(on_report.ok()) << on_report.status().ToString();
   json::Value snap = MetricsRegistry::FromReport(*on_report).ToJson();
-  // The occupancy counters are unconditional...
-  for (const char* key :
-       {"executor.batches", "executor.batched_steps", "executor.solo_steps",
-        "sweeper.batches", "sweeper.batched_records"}) {
+  // The sweeper batch counters are unconditional...
+  for (const char* key : {"sweeper.batches", "sweeper.batched_records"}) {
     EXPECT_NE(snap.Find(key), nullptr) << "missing " << key;
   }
   if (!kProfilerCompiledOut) {
-    // ...and the full reason taxonomy appears when profiling, zeros
-    // included, plus the occupancy summaries.
-    for (size_t i = 0; i < kNumBatchRejectReasons; ++i) {
-      std::string key =
-          std::string("executor.reject.") +
-          BatchRejectReasonName(static_cast<BatchRejectReason>(i));
-      EXPECT_NE(snap.Find(key), nullptr) << "missing " << key;
-    }
+    // ...and the sweeper's solo-reason taxonomy appears when profiling,
+    // zeros included.
     for (size_t i = 0; i < kNumSweeperSoloReasons; ++i) {
       std::string key =
           std::string("sweeper.solo.") +
           SweeperSoloReasonName(static_cast<SweeperSoloReason>(i));
       EXPECT_NE(snap.Find(key), nullptr) << "missing " << key;
     }
-    for (const char* key :
-         {"executor.occupancy.count", "executor.occupancy.mean",
-          "executor.occupancy.p50", "executor.occupancy.p99",
-          "executor.occupancy.max", "executor.footprint_lines.count"}) {
-      EXPECT_NE(snap.Find(key), nullptr) << "missing " << key;
-    }
   }
 
-  Harness off(ProfiledConfig(/*exec_threads=*/2, /*prof_on=*/false));
+  Harness off(ProfiledConfig(/*prof_on=*/false));
   auto off_report = off.Run();
   ASSERT_TRUE(off_report.ok()) << off_report.status().ToString();
   json::Value off_snap = MetricsRegistry::FromReport(*off_report).ToJson();
-  EXPECT_NE(off_snap.Find("executor.batches"), nullptr);
-  EXPECT_EQ(off_snap.Find("executor.reject.poll-lock"), nullptr)
+  EXPECT_NE(off_snap.Find("sweeper.batches"), nullptr);
+  EXPECT_EQ(off_snap.Find("sweeper.solo.serial-sweep"), nullptr)
       << "reason keys must vanish, not zero out, when not profiling";
-  EXPECT_EQ(off_snap.Find("executor.occupancy.count"), nullptr);
 }
 
 }  // namespace

@@ -645,5 +645,98 @@ TEST(RecoveryEdgeTest, SplitLeafPartialLineLossDoesNotResurrectMovedKeys) {
   }
 }
 
+// Crash schedules distilled from crash-schedule fuzzer cases. Each runs
+// the seeded workload through the Harness under one protocol and must
+// verify clean after every recovery and at the end.
+HarnessConfig FuzzDistilledConfig(RecoveryConfig rc, uint16_t nodes,
+                                  size_t records, uint16_t record_bytes,
+                                  WorkloadSpec workload,
+                                  std::vector<CrashPlan> crashes,
+                                  double steal, uint64_t harness_seed) {
+  HarnessConfig cfg;
+  cfg.db.machine.num_nodes = nodes;
+  cfg.db.record_data_size = record_bytes;
+  cfg.db.recovery = rc;
+  cfg.num_records = records;
+  cfg.workload = workload;
+  cfg.crashes = std::move(crashes);
+  cfg.steal_flush_prob = steal;
+  cfg.seed = harness_seed;
+  return cfg;
+}
+
+void ExpectCleanRun(const HarnessConfig& cfg, size_t recoveries) {
+  Harness h(cfg);
+  auto report = h.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->recoveries.size(), recoveries);
+  EXPECT_TRUE(report->verify_status.ok()) << report->verify_status.ToString();
+}
+
+// AbortDependents, 6 nodes, steal 0.03: {2,1} crash for good at step 46,
+// {0} crashes and restarts at step 231, {5} at step 270. Node 5's active
+// transaction updated p2.s9 before the second crash; that crash's redo
+// re-noted node 5's older records for page 2 in the WAL (page, LSN) table,
+// lowering node 5's requirement below the volatile update. A steal flush
+// then wrote the uncommitted value to disk without forcing its log record,
+// and once node 5 crashed the tag undo found nothing in the log to rewind
+// the stolen value with: the committed value (zeros) never came back.
+TEST(RecoveryEdgeTest, RedoDoesNotLowerWalRequirementUnderSteal) {
+  WorkloadSpec w;
+  w.txns_per_node = 5;
+  w.ops_per_txn = 7;
+  w.write_ratio = 0.48872484969683394;
+  w.index_op_ratio = 0.23006450987309571;
+  w.dirty_read_ratio = 0.05;
+  w.zipf_theta = 0.9;
+  w.shared_fraction = 1.0;
+  w.voluntary_abort_ratio = 0.0;
+  w.index_key_space = 256;
+  w.seed = 16818056104277171811ULL;
+  ExpectCleanRun(
+      FuzzDistilledConfig(RecoveryConfig::BaselineAbortDependents(), 6, 128,
+                          16, w,
+                          {CrashPlan{270, {5, 5}, true},
+                           CrashPlan{46, {2, 1}, false},
+                           CrashPlan{231, {0}, true}},
+                          /*steal=*/0.03, 8190346514531792530ULL),
+      3);
+}
+
+// Stable-Triggered LBM + Selective Redo, 7 nodes: {0} crashes at step
+// 208 and {5} at 341 (no restarts), then every remaining node crashes at
+// 382: a whole-machine restart. Node 5's active transaction had deleted a
+// committed key; the second recovery undid the delete and logged the
+// compensation on a survivor. The whole-machine redo replayed the delete
+// (a tagged tombstone) and then the compensation into a fresh slot, and
+// the undo pass revived the tombstone too: two live entries for the key.
+// Two workload seeds hit it, on keys 72 and 2.
+TEST(RecoveryEdgeTest, WholeMachineRedoOfUndoneDeleteKeepsOneLiveEntry) {
+  for (auto [workload_seed, harness_seed] :
+       {std::pair{3968832524651798887ULL, 3840551785863347309ULL},
+        std::pair{7504494818432822760ULL, 15282078022362701488ULL}}) {
+    SCOPED_TRACE("workload seed " + std::to_string(workload_seed));
+    WorkloadSpec w;
+    w.txns_per_node = 10;
+    w.ops_per_txn = 8;
+    w.write_ratio = 0.5664357790883994;
+    w.index_op_ratio = 0.28313703632704595;
+    w.dirty_read_ratio = 0.0;
+    w.zipf_theta = 0.0;
+    w.shared_fraction = 0.5;
+    w.voluntary_abort_ratio = 0.1;
+    w.index_key_space = 256;
+    w.seed = workload_seed;
+    ExpectCleanRun(
+        FuzzDistilledConfig(RecoveryConfig::StableTriggeredSelectiveRedo(), 7,
+                            32, 30, w,
+                            {CrashPlan{382, {0, 1, 2, 3, 4, 5, 6}, true},
+                             CrashPlan{341, {5, 0}, false},
+                             CrashPlan{208, {0}, false}},
+                            /*steal=*/0.0, harness_seed),
+        3);
+  }
+}
+
 }  // namespace
 }  // namespace smdb

@@ -14,7 +14,6 @@
 // written) · in --replay mode: 0 the recorded failure reproduces, 3 it
 // does not (determinism broken).
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "fuzz/fuzzer.h"
 
 namespace smdb {
@@ -40,7 +40,6 @@ struct Flags {
   uint64_t group_commit_window = 0;
   uint64_t group_commit_max_batch = 0;
   bool on_demand = false;
-  uint64_t exec_threads = 1;
   bool forensics = true;
   uint64_t trace_capacity = 0;  // 0 = keep the option default
   std::string stats_json;       // campaign summary path ("" = none)
@@ -76,8 +75,6 @@ void Usage() {
       "  --on-demand-recovery  run every protocol with on-demand (instant)\n"
       "                        recovery: traffic resumes in the Recovering\n"
       "                        state and obligations discharge lazily\n"
-      "  --exec-threads=N      shard transaction execution across N pool\n"
-      "                        workers in every run (default 1 = serial)\n"
       "  --no-shrink           keep the original failing schedule\n"
       "  --no-forensics        skip the traced forensic re-run of a shrunk\n"
       "                        failure (replay files omit \"forensics\")\n"
@@ -95,22 +92,9 @@ bool TakesValue(const std::string& key) {
   return key == "--seeds" || key == "--seed-start" || key == "--protocol" ||
          key == "--break" || key == "--out" || key == "--replay" ||
          key == "--recovery-threads" || key == "--jobs" ||
-         key == "--exec-threads" ||
          key == "--group-commit-window" ||
          key == "--group-commit-max-batch" || key == "--trace-capacity" ||
          key == "--stats-json";
-}
-
-bool ParseUint(const std::string& val, uint64_t* out) {
-  // strtoull accepts "-3" (wrapping to 2^64-3) and leading whitespace;
-  // insist on a plain digit string.
-  if (val.empty() || val[0] < '0' || val[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  uint64_t v = std::strtoull(val.c_str(), &end, 10);
-  if (errno != 0 || end != val.c_str() + val.size()) return false;
-  *out = v;
-  return true;
 }
 
 bool ParseFlag(Flags& f, const std::string& key, const std::string& val) {
@@ -131,8 +115,6 @@ bool ParseFlag(Flags& f, const std::string& key, const std::string& val) {
     }
   } else if (key == "--jobs") {
     if (!ParseUint(val, &f.jobs) || f.jobs == 0) return false;
-  } else if (key == "--exec-threads") {
-    if (!ParseUint(val, &f.exec_threads) || f.exec_threads == 0) return false;
   } else if (key == "--group-commit") {
     f.group_commit = true;
   } else if (key == "--group-commit-window") {
@@ -259,9 +241,6 @@ int Replay(const Flags& flags) {
   opts.recovery_threads = flags.recovery_threads > 1
                               ? static_cast<uint32_t>(flags.recovery_threads)
                               : doc->recovery_threads;
-  opts.execution_threads = flags.exec_threads > 1
-                               ? static_cast<uint32_t>(flags.exec_threads)
-                               : doc->execution_threads;
   CrashScheduleFuzzer fuzzer(opts);
   FuzzVerdict verdict = fuzzer.RunCase(doc->fuzz_case, doc->protocol);
   if (verdict.failed) {
@@ -283,7 +262,6 @@ int Fuzz(const Flags& flags) {
   opts.group_commit_max_batch =
       static_cast<uint32_t>(flags.group_commit_max_batch);
   opts.on_demand = flags.on_demand;
-  opts.execution_threads = static_cast<uint32_t>(flags.exec_threads);
   opts.forensics = flags.forensics;
   if (flags.trace_capacity != 0) {
     opts.trace_capacity = static_cast<uint32_t>(flags.trace_capacity);

@@ -7,31 +7,20 @@
 //   smdb_run --nodes=8 --coherence=broadcast --zipf=0.9 --write-ratio=0.8
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "workload/harness.h"
+#include "workload/run_flags.h"
 
 namespace smdb {
 namespace {
 
-struct Flags {
-  HarnessConfig cfg;
-  bool verbose = false;
-  std::string trace_out;    // Chrome trace-event file ("" = no trace)
-  std::string stats_json;   // unified metrics snapshot ("" = none)
-  std::string latency_json; // observatory export ("" = none)
-  std::string profile_out;  // profiler JSON (+ .collapsed) ("" = none)
-};
-
 void Usage() {
   std::printf(
       "usage: smdb_run [flags]\n"
-      "  --nodes=N                machine size (default 8, max 64)\n"
+      "  --nodes=N                machine size (default 4, max 64)\n"
       "  --protocol=P             volatile-selective | volatile-redoall |\n"
       "                           stable-eager | stable-triggered |\n"
       "                           stable-triggered-selective | reboot-all |\n"
@@ -39,7 +28,7 @@ void Usage() {
       "  --coherence=K            invalidate (default) | broadcast\n"
       "  --records=N              heap table size (default 256)\n"
       "  --record-bytes=N         record payload size (default 22)\n"
-      "  --txns=N                 transactions per node (default 25)\n"
+      "  --txns=N                 transactions per node (default 20)\n"
       "  --ops=N                  operations per transaction (default 8)\n"
       "  --write-ratio=F          update fraction of record ops (default .5)\n"
       "  --index-ratio=F          index-op fraction (default 0)\n"
@@ -54,9 +43,6 @@ void Usage() {
       "  --checkpoint-every=N     steps between checkpoints (default 0)\n"
       "  --recovery-threads=N     worker streams for restart recovery\n"
       "                           (default 1 = serial)\n"
-      "  --exec-threads=N         shard transaction execution across N\n"
-      "                           ThreadPool workers; digest-identical to\n"
-      "                           serial (default 1)\n"
       "  --on-demand-recovery     instant recovery: run only the eager\n"
       "                           crash-time prefix, serve traffic in the\n"
       "                           Recovering state, discharge obligations\n"
@@ -70,7 +56,7 @@ void Usage() {
       "  --group-commit-max-batch=N  batch size bound\n"
       "  --nvram                  NVRAM log device (cheap forces)\n"
       "  --two-line-lcb           split LCBs over two cache lines\n"
-      "  --seed=N                 workload seed (default 42)\n"
+      "  --seed=N                 workload seed (default 1234)\n"
       "  --trace-out=PATH         record event traces and write a Chrome\n"
       "                           trace-event file (chrome://tracing)\n"
       "  --trace-capacity=N       per-node trace ring capacity (default "
@@ -87,126 +73,11 @@ void Usage() {
       "                           through-crash (default 200000)\n"
       "  --obs-top-contended=N    lock-contention profile size (default 8)\n"
       "  --profile-out=PATH       enable the execution/recovery profiler\n"
-      "                           and write its JSON export (reject-reason\n"
-      "                           attribution, occupancy histograms, phase\n"
-      "                           costs) plus PATH.collapsed, a\n"
-      "                           flamegraph.pl-compatible collapsed stack\n"
+      "                           and write its JSON export (sim-time phase\n"
+      "                           costs, sweeper solo reasons) plus\n"
+      "                           PATH.collapsed, a flamegraph.pl-compatible\n"
+      "                           collapsed stack\n"
       "  --verbose                dump per-subsystem statistics\n");
-}
-
-bool ParseFlag(Flags& f, const std::string& arg) {
-  auto eq = arg.find('=');
-  std::string key = arg.substr(0, eq);
-  std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
-  HarnessConfig& cfg = f.cfg;
-  if (key == "--nodes") {
-    cfg.db.machine.num_nodes = static_cast<uint16_t>(std::stoul(val));
-  } else if (key == "--protocol") {
-    if (!RecoveryConfig::FromFlagName(val, &cfg.db.recovery)) return false;
-  } else if (key == "--coherence") {
-    if (val == "broadcast") {
-      cfg.db.machine.coherence = CoherenceKind::kWriteBroadcast;
-    } else if (val != "invalidate") {
-      return false;
-    }
-  } else if (key == "--records") {
-    cfg.num_records = std::stoul(val);
-  } else if (key == "--record-bytes") {
-    cfg.db.record_data_size = static_cast<uint16_t>(std::stoul(val));
-  } else if (key == "--txns") {
-    cfg.workload.txns_per_node = std::stoul(val);
-  } else if (key == "--ops") {
-    cfg.workload.ops_per_txn = std::stoul(val);
-  } else if (key == "--write-ratio") {
-    cfg.workload.write_ratio = std::stod(val);
-  } else if (key == "--index-ratio") {
-    cfg.workload.index_op_ratio = std::stod(val);
-  } else if (key == "--dirty-read-ratio") {
-    cfg.workload.dirty_read_ratio = std::stod(val);
-  } else if (key == "--zipf") {
-    cfg.workload.zipf_theta = std::stod(val);
-  } else if (key == "--shared") {
-    cfg.workload.shared_fraction = std::stod(val);
-  } else if (key == "--abort-ratio") {
-    cfg.workload.voluntary_abort_ratio = std::stod(val);
-  } else if (key == "--crash") {
-    CrashPlan plan;
-    size_t colon = val.find(':');
-    if (colon == std::string::npos) return false;
-    plan.at_step = std::stoull(val.substr(0, colon));
-    std::string rest = val.substr(colon + 1);
-    size_t colon2 = rest.find(':');
-    plan.nodes = {static_cast<NodeId>(std::stoul(rest.substr(0, colon2)))};
-    plan.restart_after =
-        colon2 != std::string::npos && rest.substr(colon2 + 1) == "r";
-    cfg.crashes.push_back(plan);
-  } else if (key == "--steal") {
-    cfg.steal_flush_prob = std::stod(val);
-  } else if (key == "--checkpoint-every") {
-    cfg.checkpoint_every_steps = std::stoull(val);
-  } else if (key == "--recovery-threads") {
-    unsigned long threads = std::stoul(val);
-    if (threads == 0) return false;
-    cfg.db.recovery.recovery_threads = static_cast<uint32_t>(threads);
-  } else if (key == "--exec-threads") {
-    unsigned long threads = std::stoul(val);
-    if (threads == 0) return false;
-    cfg.exec.execution_threads = static_cast<uint32_t>(threads);
-  } else if (key == "--on-demand-recovery") {
-    cfg.db.recovery.on_demand = true;
-    if (cfg.pump_recovery_per_step == 0) cfg.pump_recovery_per_step = 1;
-  } else if (key == "--pump-recovery") {
-    cfg.pump_recovery_per_step = static_cast<int>(std::stoul(val));
-  } else if (key == "--group-commit") {
-    cfg.db.recovery.group_commit = true;
-  } else if (key == "--group-commit-window") {
-    cfg.db.recovery.group_commit = true;
-    cfg.db.recovery.group_commit_window_ns = std::stoull(val);
-  } else if (key == "--group-commit-max-batch") {
-    cfg.db.recovery.group_commit = true;
-    cfg.db.recovery.group_commit_max_batch =
-        static_cast<uint32_t>(std::stoul(val));
-  } else if (key == "--nvram") {
-    cfg.db.machine.nvram_log = true;
-  } else if (key == "--two-line-lcb") {
-    cfg.db.lock_table.two_line_lcb = true;
-  } else if (key == "--seed") {
-    cfg.workload.seed = std::stoull(val);
-    cfg.seed = cfg.workload.seed ^ 0xBEEF;
-  } else if (key == "--trace-out") {
-    if (val.empty()) return false;
-    f.trace_out = val;
-    cfg.db.trace.enabled = true;
-  } else if (key == "--trace-capacity") {
-    cfg.db.trace.capacity_per_node = static_cast<uint32_t>(std::stoul(val));
-  } else if (key == "--stats-json") {
-    if (val.empty()) return false;
-    f.stats_json = val;
-  } else if (key == "--latency-json") {
-    if (val.empty()) return false;
-    f.latency_json = val;
-    cfg.db.obs.enabled = true;
-  } else if (key == "--obs") {
-    cfg.db.obs.enabled = true;
-  } else if (key == "--obs-window") {
-    cfg.db.obs.enabled = true;
-    cfg.db.obs.window_ns = std::stoull(val);
-  } else if (key == "--obs-influence") {
-    cfg.db.obs.enabled = true;
-    cfg.db.obs.crash_influence_ns = std::stoull(val);
-  } else if (key == "--obs-top-contended") {
-    cfg.db.obs.enabled = true;
-    cfg.db.obs.top_contended = static_cast<uint32_t>(std::stoul(val));
-  } else if (key == "--profile-out") {
-    if (val.empty()) return false;
-    f.profile_out = val;
-    cfg.db.profiler.enabled = true;
-  } else if (key == "--verbose") {
-    f.verbose = true;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -219,7 +90,7 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return true;
 }
 
-int Run(const Flags& flags) {
+int Run(const RunFlags& flags) {
   Harness h(flags.cfg);
   auto report = h.Run();
   // The trace is written even for a failed run — the event history leading
@@ -326,18 +197,18 @@ int Run(const Flags& flags) {
 }  // namespace smdb
 
 int main(int argc, char** argv) {
-  smdb::Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+  std::vector<std::string> args(argv + 1, argv + argc);
+  for (const std::string& arg : args) {
     if (arg == "--help" || arg == "-h") {
       smdb::Usage();
       return 0;
     }
-    if (!smdb::ParseFlag(flags, arg)) {
-      std::fprintf(stderr, "bad flag: %s\n\n", arg.c_str());
-      smdb::Usage();
-      return 1;
-    }
   }
-  return smdb::Run(flags);
+  auto flags = smdb::ParseRunFlags(args);
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n\n", flags.status().ToString().c_str());
+    smdb::Usage();
+    return 1;
+  }
+  return smdb::Run(*flags);
 }
