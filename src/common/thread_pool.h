@@ -12,10 +12,10 @@
 
 namespace smdb {
 
-/// Small work-stealing thread pool for host-side recovery work (per-node
-/// log scans, partition planning). The simulator itself stays sequential —
-/// the pool only ever runs pure host-memory reads that touch disjoint or
-/// private state.
+/// Small work-stealing thread pool for independent runs: `smdb_fuzz --jobs`
+/// and the test matrices fan seeds or configurations out, one Harness (and
+/// so one Database) per task. A simulated run itself is single-threaded,
+/// so tasks share no simulator state.
 ///
 /// Design: one deque per worker slot, each guarded by its own mutex. A
 /// worker drains its own deque from the back and, when empty, steals from
@@ -32,8 +32,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  unsigned workers() const { return static_cast<unsigned>(queues_.size()); }
 
   /// Runs fn(0) .. fn(n-1), blocking until all complete. Tasks may execute
   /// on any worker in any order: fn must only touch disjoint or

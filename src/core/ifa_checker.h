@@ -2,7 +2,6 @@
 #define SMDB_CORE_IFA_CHECKER_H_
 
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,11 +86,6 @@ class IfaChecker : public TxnObserver {
   /// Records the violation and returns the matching Corruption status.
   Status Fail(Violation v);
 
-  /// Guards committed_/committed_index_/pending_. Observer callbacks come
-  /// from transaction steps, which run on one thread; the latch keeps the
-  /// checker safe to call from any thread. Verify* runs at quiescent
-  /// points only.
-  mutable std::mutex mu_;
   Database* db_;
   std::map<RecordId, std::vector<uint8_t>> committed_;
   std::map<uint64_t, RecordId> committed_index_;

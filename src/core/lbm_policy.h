@@ -2,7 +2,6 @@
 #define SMDB_CORE_LBM_POLICY_H_
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -95,10 +94,6 @@ class StableTriggeredLbm : public LbmPolicy {
 
   Machine* machine_;
   LogManager* log_;
-  /// Guards the two maps below. Never held across a log force: OnCoherence
-  /// copies the updater out first, because Force re-enters this policy
-  /// through the force hook (OnForced).
-  mutable std::mutex mu_;
   /// line -> node whose unforced update made it active.
   std::unordered_map<LineAddr, NodeId> active_by_;
   /// node -> its active lines (for clearing on force).

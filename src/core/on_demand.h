@@ -34,10 +34,12 @@ class StableStateReconstructor;
 ///    eager phase order — when it runs before any new traffic, the
 ///    recovered machine state is bit-identical to the eager pass.
 ///
-/// Obligations are derived from stable logs and the crash-time transaction
-/// table only, so a second crash during the Recovering window simply
-/// re-derives them: RecoveryManager::Run resets this driver before each
-/// recovery.
+/// Redo and undo obligations are derived from stable logs and the
+/// crash-time transaction table only, so a second crash during the
+/// Recovering window simply re-derives them. Dead-node tags are the
+/// exception: the next recovery's dead set no longer names a node that has
+/// restarted since, so RecoveryManager::Run carries the superseded
+/// recovery's undischarged tags forward (Supersede, Ctx::owed_tags).
 class OnDemandRecovery {
  public:
   explicit OnDemandRecovery(Database* db);
@@ -56,22 +58,19 @@ class OnDemandRecovery {
     uint64_t sweep_discharges = 0;
     uint64_t drain_discharges = 0;
     uint64_t pages_loaded_lazily = 0;
-    /// Pool-backed sweep batches dispatched via ParallelFor
-    /// (recovery_threads > 1 only; solo discharges don't count) and the
-    /// records they applied. Tests assert these to prove the parallel
-    /// path actually ran.
-    uint64_t sweep_batches = 0;
-    uint64_t sweep_batched_records = 0;
   };
   const Stats& stats() const { return stats_; }
 
   /// Objects still carrying deferred obligations.
   size_t pending_objects() const { return records_.size() + keys_.size(); }
 
-  /// Drops all pending state. A new recovery supersedes the old one (its
-  /// obligations are re-derived from stable storage), so RecoveryManager
-  /// calls this at the start of every Run.
-  void Reset();
+  /// Ends the Recovering window because a new recovery supersedes it (the
+  /// new run re-derives the redo and undo obligations from stable storage)
+  /// and drops all pending state. Returns the dead-node tags still owed —
+  /// node -> the USN cutoff of the recovery that owed them — when the tag
+  /// work was not finished; RecoveryManager::Run hands them to the new
+  /// recovery's context. Called at the start of every Run.
+  std::map<NodeId, uint64_t> Supersede();
 
   /// Takes ownership of a crash's deferred obligations and enters the
   /// Recovering state. `entry_redo` is the full collected redo list in
@@ -87,20 +86,10 @@ class OnDemandRecovery {
   Status TouchKey(NodeId performer, uint32_t tree_id, uint64_t key);
 
   /// Background sweeper: discharges up to `max_objects` pending objects in
-  /// global-USN order; finishes the residual work (unreferenced page loads,
-  /// the deferred tag scan) once no objects remain. Returns the number of
-  /// objects discharged.
-  ///
-  /// With recovery_threads > 1 the sweep batches consecutive heap records
-  /// that provably need only USN-guarded redo applies — no undo
-  /// obligations, no dead-node tag, page already loaded — onto the
-  /// RecoveryManager's work-stealing pool, one page per batch member so
-  /// their line footprints are disjoint. Anything that allocates USNs or
-  /// touches the B+-tree runs solo, in sweep order, so the USN stream (and
-  /// therefore every digest) is identical at any width. ParallelFor is the
-  /// drain barrier: SweepStep returns only after every batched apply has
-  /// retired, so DrainAll/DrainRecovery never observes a half-applied
-  /// batch.
+  /// global-USN order, each on the next survivor in round-robin order;
+  /// finishes the residual work (unreferenced page loads, the deferred tag
+  /// scan) once no objects remain. Returns the number of objects
+  /// discharged.
   Result<int> SweepStep(int max_objects);
 
   /// Applies every remaining obligation in the eager phase order (heap
@@ -130,6 +119,7 @@ class OnDemandRecovery {
   Status DischargeKeyTag(NodeId performer, KeyId key);
   bool StaleCommittedTag(uint64_t usn, NodeId tagged) const;
   void CountDischarge(Via via);
+  void Reset();
   /// Loads still-pending pages and runs the deferred tag scan, then leaves
   /// the Recovering state.
   Status FinishResidual();
@@ -148,11 +138,9 @@ class OnDemandRecovery {
   RecoveryManager::Ctx ctx_;
 
   std::vector<LogRecord> redo_;  // global-USN order, entry-level only
-  /// uint8_t, not bool: parallel sweep tasks set disjoint indices from pool
-  /// threads, and vector<bool>'s bit packing would make that a data race.
-  std::vector<uint8_t> redo_done_;
+  std::vector<bool> redo_done_;
   RecoveryManager::UndoWork undo_;
-  std::vector<uint8_t> undo_done_;
+  std::vector<bool> undo_done_;
 
   std::map<RecordId, Pending> records_;
   std::map<KeyId, Pending> keys_;

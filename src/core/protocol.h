@@ -55,15 +55,16 @@ struct RecoveryConfig {
   /// nested top-level actions (Table 1 row 1; required for IFA).
   bool early_commit_structural = true;
 
-  /// Worker streams for the partitioned parallel recovery pipeline. 1 (the
-  /// default) is the serial path with today's exact behaviour. N > 1 runs
-  /// restart recovery as N deterministic worker streams: log scans fan out
-  /// over a host-side work-stealing thread pool, and the redo/undo passes
-  /// partition their work by page (heap) and key (index) so each stream's
-  /// line traffic stays disjoint — the simulated recovery time shrinks
-  /// accordingly. Orthogonal to protocol identity: FlagName()/presets
-  /// ignore it, and the recovered machine state is bit-identical to the
-  /// serial run (see tests/recovery_equivalence_test.cc).
+  /// Simulated performer streams for partitioned restart recovery. 1 (the
+  /// default) is the serial assignment: a survivor replays its own records
+  /// and the rest go round-robin. N > 1 pins N streams to survivors and
+  /// partitions the redo/undo passes by page (heap) and key (index), so
+  /// each stream's line traffic stays disjoint and the simulated recovery
+  /// time shrinks accordingly. A policy of the model, not host threads:
+  /// the passes run serially on the run's one thread. Orthogonal to
+  /// protocol identity: FlagName()/presets ignore it, and the recovered
+  /// machine state is bit-identical to the serial run (see
+  /// tests/recovery_equivalence_test.cc).
   uint32_t recovery_threads = 1;
 
   /// Group-commit log-force pipeline (off = exact classic behaviour: every

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "common/atomic_util.h"
 #include "core/database.h"
 #include "core/on_demand.h"
 #include "core/stable_state.h"
@@ -84,16 +83,6 @@ void PinStreams(std::vector<NodeId>* streams, uint32_t threads,
 
 }  // namespace
 
-void RecoveryManager::ForEachNodeParallel(
-    const Ctx& ctx, const std::function<void(NodeId)>& fn) {
-  const uint16_t n = db_->machine().num_nodes();
-  if (ctx.threads <= 1 || pool_ == nullptr) {
-    for (NodeId i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool_->ParallelFor(n, [&](size_t i) { fn(static_cast<NodeId>(i)); });
-}
-
 NodeId RecoveryManager::RedoPerformer(Ctx& ctx, const LogRecord& rec) {
   if (ctx.threads <= 1) {
     // Legacy serial rule: a surviving node replays its own records.
@@ -166,14 +155,7 @@ Status RecoveryManager::BuildContext(const std::vector<NodeId>& crashed,
   // transaction's node crashed (or crashed and restarted), and the
   // compensations a previous recovery wrote for it are themselves volatile
   // until flushed or forced.
-  // The per-node log analysis fans out over the pool when recovery_threads
-  // > 1 — each task reads one node's logs into its own slot (host-side
-  // only), and the final set unions are sequential and order-independent,
-  // so the classification is identical to the serial scan.
-  const uint16_t num_nodes = db_->machine().num_nodes();
-  std::vector<std::set<TxnId>> node_volatile_finished(num_nodes);
-  std::vector<std::set<TxnId>> node_uncommitted(num_nodes);
-  ForEachNodeParallel(*ctx, [&](NodeId c) {
+  for (NodeId c = 0; c < db_->machine().num_nodes(); ++c) {
     std::set<TxnId> begun, finished;
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (rec.txn == kInvalidTxn) return;
@@ -206,17 +188,11 @@ Status RecoveryManager::BuildContext(const std::vector<NodeId>& crashed,
     for (TxnId t : begun) {
       if (finished.contains(t)) continue;
       if (tail_finished.contains(t)) {
-        node_volatile_finished[c].insert(t);
+        ctx->volatile_finished.insert(t);
       } else {
-        node_uncommitted[c].insert(t);
+        ctx->uncommitted_ids.insert(t);
       }
     }
-  });
-  for (NodeId c = 0; c < num_nodes; ++c) {
-    ctx->volatile_finished.insert(node_volatile_finished[c].begin(),
-                                  node_volatile_finished[c].end());
-    ctx->uncommitted_ids.insert(node_uncommitted[c].begin(),
-                                node_uncommitted[c].end());
   }
   return Status::Ok();
 }
@@ -244,13 +220,11 @@ Status RecoveryManager::ApplyRedoUpdate(Ctx& ctx, NodeId performer,
   const UpdatePayload& u = rec.update();
   RecordStore& rs = db_->records();
   SMDB_ASSIGN_OR_RETURN(SlotImage cur, rs.ReadSlot(performer, u.rid));
-  // Atomic: the on-demand sweeper batches disjoint-page redo applies onto
-  // pool threads, which share these counters.
   if (cur.usn >= u.usn) {
-    AtomicInc(ctx.out.redo_skipped);
+    ++ctx.out.redo_skipped;
     return Status::Ok();
   }
-  AtomicInc(ctx.out.redo_applied);
+  ++ctx.out.redo_applied;
   uint16_t tag = kTagNone;
   if (!u.is_clr && db_->config().recovery.undo_tagging() &&
       ctx.uncommitted_ids.contains(rec.txn)) {
@@ -335,12 +309,11 @@ Status RecoveryManager::ApplyRedoStructural(Ctx& ctx, NodeId performer,
 
 Status RecoveryManager::ReplayLogsWithGuard(Ctx& ctx) {
   std::vector<LogRecord> records;
-  SMDB_RETURN_IF_ERROR(CollectRedoRecords(ctx, &records));
+  SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
   return ApplyRedoRecords(ctx, records);
 }
 
-Status RecoveryManager::CollectRedoRecords(Ctx& ctx,
-                                           std::vector<LogRecord>* out) {
+Status RecoveryManager::CollectRedoRecords(std::vector<LogRecord>* out) {
   Machine& m = db_->machine();
   // Gather the redo-relevant records from every reachable log, then apply
   // them in global USN order. Record updates are order-free under the USN
@@ -348,37 +321,22 @@ Status RecoveryManager::CollectRedoRecords(Ctx& ctx,
   // are not: a delete replayed before the insert it follows would be
   // dropped. Strict 2PL makes USN order consistent with the original
   // execution order on every object, so a single sorted pass repeats
-  // history exactly.
-  // The collection is partitioned by log: one task per node-log, each
-  // filling its own slot (log scans are pure host-side reads — the
-  // simulator is never touched from pool threads). Each node's log is
-  // USN-monotone in LSN order, so the slots are pre-sorted runs and the
-  // global sort below is effectively the deterministic k-way merge of the
-  // per-node streams; its result is independent of scan scheduling.
-  std::vector<std::vector<LogRecord>> per_node(m.num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId n) {
+  // history exactly. Log scans are pure host-side reads.
+  std::vector<LogRecord>& records = *out;
+  for (NodeId n = 0; n < m.num_nodes(); ++n) {
     Lsn start = db_->log().checkpoint_lsn(n);
     auto visit = [&](const LogRecord& rec) {
       if (rec.lsn <= start && start != kInvalidLsn) return;
       if (rec.type == LogRecordType::kUpdate ||
           rec.type == LogRecordType::kIndexOp ||
           rec.type == LogRecordType::kStructural) {
-        per_node[n].push_back(rec);
+        records.push_back(rec);
       }
     };
     if (m.NodeAlive(n)) {
       db_->log().ForEachAll(n, visit);
     } else {
       db_->log().ForEachStable(n, visit);
-    }
-  });
-  std::vector<LogRecord>& records = *out;
-  {
-    size_t total = 0;
-    for (const auto& v : per_node) total += v.size();
-    records.reserve(total);
-    for (auto& v : per_node) {
-      records.insert(records.end(), v.begin(), v.end());
     }
   }
   auto usn_of = [](const LogRecord& rec) {
@@ -496,28 +454,20 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   // exactly what IFA preserves. The all-node scan re-derives undo work left
   // over from earlier crashes whose compensations were since lost; the
   // engagement guard in ApplyUndo* turns already-compensated records into
-  // no-ops, so re-undoing is safe.
-  // Partitioned by stable log: one scan task per node, merged below. The
-  // reverse-USN sort restores a single deterministic order (USNs are
-  // globally unique), so the undo schedule is identical across thread
-  // counts.
-  std::vector<std::vector<LogRecord>> undo_per_node(
-      db_->machine().num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId c) {
+  // no-ops, so re-undoing is safe. USNs are globally unique, so the
+  // reverse-USN sort below gives one deterministic undo schedule.
+  std::vector<LogRecord> to_undo;
+  for (NodeId c = 0; c < db_->machine().num_nodes(); ++c) {
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (!ctx.uncommitted_ids.contains(rec.txn)) return;
       if (ctx.preserved_ids.contains(rec.txn)) return;
       if (rec.type == LogRecordType::kUpdate && !rec.update().is_clr) {
-        undo_per_node[c].push_back(rec);
+        to_undo.push_back(rec);
       } else if (rec.type == LogRecordType::kIndexOp &&
                  !rec.index_op().is_clr) {
-        undo_per_node[c].push_back(rec);
+        to_undo.push_back(rec);
       }
     });
-  });
-  std::vector<LogRecord> to_undo;
-  for (auto& v : undo_per_node) {
-    to_undo.insert(to_undo.end(), v.begin(), v.end());
   }
   std::sort(to_undo.begin(), to_undo.end(),
             [](const LogRecord& a, const LogRecord& b) {
@@ -542,27 +492,16 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   // safe — the chain re-converges to the oldest before image.
   std::set<TxnId> undo_txns;
   for (const LogRecord& rec : to_undo) undo_txns.insert(rec.txn);
-  std::map<uint64_t, std::pair<TxnId, RecordId>> clr_slots;
-  std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t, uint64_t>>>
-      clr_keys;
   Machine& m = db_->machine();
-  // Per-node CLR maps filled in parallel, then merged. USNs are globally
-  // unique, so the per-node maps are disjoint and the merge order is
-  // irrelevant.
-  std::vector<std::map<uint64_t, std::pair<TxnId, RecordId>>> node_clr_slots(
-      m.num_nodes());
-  std::vector<std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t,
-                                                            uint64_t>>>>
-      node_clr_keys(m.num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId n) {
+  for (NodeId n = 0; n < m.num_nodes(); ++n) {
     auto visit = [&](const LogRecord& rec) {
       if (!undo_txns.contains(rec.txn)) return;
       if (rec.type == LogRecordType::kUpdate && rec.update().is_clr) {
-        node_clr_slots[n][rec.update().usn] = {rec.txn, rec.update().rid};
+        out->clr_slots[rec.update().usn] = {rec.txn, rec.update().rid};
       } else if (rec.type == LogRecordType::kIndexOp &&
                  rec.index_op().is_clr) {
         const IndexOpPayload& op = rec.index_op();
-        node_clr_keys[n][op.usn] = {rec.txn, {op.tree_id, op.key}};
+        out->clr_keys[op.usn] = {rec.txn, {op.tree_id, op.key}};
       }
     };
     if (m.NodeAlive(n)) {
@@ -570,14 +509,8 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
     } else {
       db_->log().ForEachStable(n, visit);
     }
-  });
-  for (NodeId n = 0; n < m.num_nodes(); ++n) {
-    clr_slots.merge(node_clr_slots[n]);
-    clr_keys.merge(node_clr_keys[n]);
   }
   out->to_undo = std::move(to_undo);
-  out->clr_slots = std::move(clr_slots);
-  out->clr_keys = std::move(clr_keys);
   return Status::Ok();
 }
 
@@ -590,20 +523,17 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
                                          &rs, ctx.uncommitted_ids);
 
   // Map USN -> owning txn from every stable log, to distinguish "tag stale
-  // because the commit beat the tag-clear" from "uncommitted". Built in
-  // parallel (per-node maps over disjoint USNs), merged sequentially.
+  // because the commit beat the tag-clear" from "uncommitted".
   std::unordered_map<uint64_t, TxnId> usn_owner;
-  std::vector<std::unordered_map<uint64_t, TxnId>> node_owner(m.num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId c) {
+  for (NodeId c = 0; c < m.num_nodes(); ++c) {
     db_->log().ForEachStable(c, [&](const LogRecord& rec) {
       if (rec.type == LogRecordType::kUpdate) {
-        node_owner[c][rec.update().usn] = rec.txn;
+        usn_owner[rec.update().usn] = rec.txn;
       } else if (rec.type == LogRecordType::kIndexOp) {
-        node_owner[c][rec.index_op().usn] = rec.txn;
+        usn_owner[rec.index_op().usn] = rec.txn;
       }
     });
-  });
-  for (NodeId c = 0; c < m.num_nodes(); ++c) usn_owner.merge(node_owner[c]);
+  }
   auto stale_committed_tag = [&](uint64_t usn, NodeId tagged) {
     auto it = usn_owner.find(usn);
     if (it != usn_owner.end()) {
@@ -644,7 +574,12 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   std::set<RecordId> seen_rids;
   std::set<std::pair<PageId, uint16_t>> seen_slots;
 
-  for (NodeId s : ctx.survivors) {
+  // Every live cache, not just the crash-time survivors': a deferred
+  // (on-demand) scan runs after dead nodes may have restarted, and a
+  // restarted node's new transactions can pull a dead-tagged line into its
+  // cache. Eager scans run before any restart, when the two sets agree.
+  for (NodeId s = 0; s < m.num_nodes(); ++s) {
+    if (!m.NodeAlive(s)) continue;
     // Snapshot the resident lines first (collection itself reads only).
     std::vector<LineAddr> lines;
     m.cache(s).ForEachLine(
@@ -656,11 +591,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
         SMDB_ASSIGN_OR_RETURN(SlotImage img, rs.ReadSlot(s, rid));
         if (img.tag == kTagNone) continue;
         NodeId tagged = NodeOfTag(img.tag);
-        if (!ctx.dead_set.contains(tagged)) continue;
-        // A tag minted after the crash (usn above the cutoff) belongs to a
-        // restarted node's new traffic, not to this recovery (lazy drains
-        // only — eager scans run before any restart).
-        if (img.usn > ctx.tag_scan_usn_cutoff) continue;
+        if (!ctx.DeadTag(tagged, img.usn)) continue;
         if (!seen_rids.insert(rid).second) continue;
         HeapCand c;
         c.rid = rid;
@@ -673,8 +604,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
       for (const auto& ref : index.EntriesInLine(line)) {
         if (ref.entry.tag == kTagNone) continue;
         NodeId tagged = NodeOfTag(ref.entry.tag);
-        if (!ctx.dead_set.contains(tagged)) continue;
-        if (ref.entry.usn > ctx.tag_scan_usn_cutoff) continue;
+        if (!ctx.DeadTag(tagged, ref.entry.usn)) continue;
         if (!seen_slots.insert({ref.leaf, ref.slot}).second) continue;
         IdxCand c;
         c.ref = ref;
@@ -830,21 +760,13 @@ Status RecoveryManager::RecoverLockTable(Ctx& ctx) {
   std::set<TxnId> surviving_ids;
   for (Transaction* t : ctx.surviving_active) surviving_ids.insert(t->id);
 
-  // Collect each survivor's lock-op records in parallel (host-side log
-  // reads into per-node slots), then fold sequentially in survivor order —
-  // the fold is order-sensitive (acquire/queue/release replay), so only
-  // the scans are partitioned.
-  std::vector<std::vector<LogRecord>> lock_ops(db_->machine().num_nodes());
-  ForEachNodeParallel(ctx, [&](NodeId s) {
-    if (ctx.dead_set.contains(s)) return;
+  // Fold each survivor's lock-op records in survivor order — the fold is
+  // order-sensitive (acquire/queue/release replay).
+  for (NodeId s : ctx.survivors) {
+    if (ctx.dead_set.contains(s)) continue;
     db_->log().ForEachAll(s, [&](const LogRecord& rec) {
       if (rec.type != LogRecordType::kLockOp) return;
       if (!surviving_ids.contains(rec.txn)) return;
-      lock_ops[s].push_back(rec);
-    });
-  });
-  for (NodeId s : ctx.survivors) {
-    for (const LogRecord& rec : lock_ops[s]) {
       const LockOpPayload& op = rec.lock_op();
       Lcb& lcb = folded[op.lock_name];
       lcb.name = op.lock_name;
@@ -871,7 +793,7 @@ Status RecoveryManager::RecoverLockTable(Ctx& ctx) {
           erase_txn(lcb.waiters);
           break;
       }
-    }
+    });
   }
 
   for (auto& [name, expected] : folded) {
@@ -900,14 +822,13 @@ Result<RecoveryOutcome> RecoveryManager::Run(
   // A crash during the Recovering window supersedes the previous on-demand
   // recovery: its undischarged obligations are re-derived from stable logs
   // and the transaction table by this run (whole-machine reboots and the
-  // eager baselines recover everything themselves).
-  if (db_->on_demand() != nullptr) db_->on_demand()->Reset();
+  // eager baselines recover everything themselves) — except the tags of
+  // nodes that have restarted since, which it hands over explicitly.
   Ctx ctx;
-  ctx.threads = std::max<uint32_t>(1, db_->config().recovery.recovery_threads);
-  if (ctx.threads > 1 &&
-      (pool_ == nullptr || pool_->workers() != ctx.threads)) {
-    pool_ = std::make_unique<ThreadPool>(ctx.threads);
+  if (db_->on_demand() != nullptr) {
+    ctx.owed_tags = db_->on_demand()->Supersede();
   }
+  ctx.threads = std::max<uint32_t>(1, db_->config().recovery.recovery_threads);
   Machine& m = db_->machine();
   m.SyncClocks();
   SimTime t0 = m.GlobalTime();

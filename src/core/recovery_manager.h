@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/recovery.h"
 #include "txn/transaction.h"
@@ -86,12 +85,26 @@ class RecoveryManager {
     /// (no-op) for eager passes; OnDemandRecovery pins it to the
     /// crash-time USN so the deferred tag scan stays sound.
     uint64_t tag_scan_usn_cutoff = UINT64_MAX;
+    /// Tags a superseded on-demand recovery left undischarged: node -> that
+    /// recovery's cutoff. The node may have restarted since, so it is no
+    /// longer in dead_set, but its tags at or below the cutoff still mark
+    /// updates of transactions that died with it.
+    std::map<NodeId, uint64_t> owed_tags;
 
-    /// recovery_threads from the database config, clamped to >= 1. 1 is
-    /// the serial pipeline (today's exact performer assignment); W > 1
-    /// runs W deterministic worker streams.
+    /// True if a `tagged` undo tag on an entry stamped `usn` is this
+    /// recovery's to resolve. A tag minted after the crash (usn above the
+    /// cutoff) belongs to a restarted node's new traffic.
+    bool DeadTag(NodeId tagged, uint64_t usn) const {
+      if (dead_set.contains(tagged)) return usn <= tag_scan_usn_cutoff;
+      auto it = owed_tags.find(tagged);
+      return it != owed_tags.end() && usn <= it->second;
+    }
+
+    /// recovery_threads from the database config, clamped to >= 1: the
+    /// number of simulated performer streams. 1 is the serial assignment;
+    /// W > 1 partitions the work over W streams.
     uint32_t threads = 1;
-    /// Worker stream -> pinned surviving performer (threads > 1 only).
+    /// Stream -> pinned surviving performer (threads > 1 only).
     /// Partitioning work so that all records of one page (and all index
     /// ops of one key range) land on one stream keeps each stream's line
     /// traffic disjoint: line-lock grant chains and header-line transfers
@@ -130,7 +143,7 @@ class RecoveryManager {
   /// Collect half of the redo pass: every redo-relevant record (lsn >
   /// checkpoint) from every reachable log, sorted by global USN. Pure
   /// host-side log reads.
-  Status CollectRedoRecords(Ctx& ctx, std::vector<LogRecord>* out);
+  Status CollectRedoRecords(std::vector<LogRecord>* out);
   /// Apply half: structural records first (via NextSurvivor), then
   /// entry-level records in the list's (USN) order. With ctx.lazy set the
   /// entry-level half is skipped — OnDemandRecovery owns those records.
@@ -186,14 +199,7 @@ class RecoveryManager {
   /// True if `txn` has a commit record in its node's stable log.
   bool CommittedInStableLog(TxnId txn) const;
 
-  // Parallel pipeline support --------------------------------------------
-
-  /// Runs fn(0..num_nodes-1): inline when serial, fanned out over the
-  /// work-stealing pool when ctx.threads > 1. Only safe for host-side log
-  /// scans into per-node slots — the simulator itself is sequential and is
-  /// never touched from pool threads.
-  void ForEachNodeParallel(const Ctx& ctx,
-                           const std::function<void(NodeId)>& fn);
+  // Partitioned recovery support -----------------------------------------
 
   /// Redo-pass performer: serial keeps the legacy rule (the record's own
   /// node if alive, else round-robin); W > 1 partitions heap updates by
@@ -204,7 +210,6 @@ class RecoveryManager {
   NodeId UndoPerformer(Ctx& ctx, const LogRecord& rec);
 
   Database* db_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace smdb

@@ -1,13 +1,10 @@
 #ifndef SMDB_LOCKMGR_LOCK_TABLE_H_
 #define SMDB_LOCKMGR_LOCK_TABLE_H_
 
-#include <array>
 #include <functional>
-#include <mutex>
 #include <set>
 #include <vector>
 
-#include "common/atomic_util.h"
 
 #include "common/status.h"
 #include "common/types.h"
@@ -158,15 +155,6 @@ class LockTable {
   /// LCB changed.
   bool PromoteWaiters(Lcb& lcb);
 
-  /// Per-bucket latch stripe for `name`. Transaction steps run on one
-  /// thread, and neither concurrent path (recovery's parallel log scans,
-  /// the on-demand sweeper's redo batches) reaches the lock table, so the
-  /// stripes are uncontended; they keep each LCB critical section
-  /// self-contained (cf. per-bucket latching in conventional lock
-  /// managers).
-  static constexpr uint32_t kLatchStripes = 64;
-  std::mutex& StripeFor(uint64_t name) const;
-
   Machine* machine_;
   LogManager* log_;
   TraceRecorder* tracer_ = nullptr;
@@ -175,7 +163,6 @@ class LockTable {
   LockTableConfig config_;
   LcbCodec codec_;
   Addr base_ = 0;
-  mutable std::array<std::mutex, kLatchStripes> stripe_mu_;
   LockTableStats stats_;
 };
 

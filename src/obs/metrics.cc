@@ -34,17 +34,6 @@ MetricsRegistry MetricsRegistry::FromReport(const HarnessReport& report) {
   reg.Add("exec.lock_waits", report.exec.lock_waits);
   reg.Add("exec.commit_waits", report.exec.commit_waits);
 
-  reg.Add("sweeper.batches", report.sweep_batches);
-  reg.Add("sweeper.batched_records", report.sweep_batched_records);
-
-  if (report.profile.enabled) {
-    for (size_t i = 0; i < kNumSweeperSoloReasons; ++i) {
-      reg.Add(std::string("sweeper.solo.") +
-                  SweeperSoloReasonName(static_cast<SweeperSoloReason>(i)),
-              report.profile.sweeper_solo[i]);
-    }
-  }
-
   reg.Add("disk.reads", report.disk_reads);
   reg.Add("disk.writes", report.disk_writes);
   reg.Add("run.steps", report.steps);

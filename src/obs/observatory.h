@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -68,11 +67,8 @@ struct LatencyReport {
 };
 
 /// Aggregates latency, throughput, and availability signals from the
-/// instrumented subsystems. Emission sites may fire from the on-demand
-/// sweeper's pool workers; a single latch serialises them. Every aggregate
-/// is order-insensitive (histogram buckets, ts-keyed series windows, keyed
-/// maps), so for a fixed seed the snapshot is deterministic at any
-/// recovery thread width.
+/// instrumented subsystems. Every emission site runs on the run's one
+/// thread, so for a fixed seed the snapshot is deterministic.
 class Observatory {
  public:
   Observatory(uint16_t num_nodes, ObsConfig config);
@@ -140,11 +136,6 @@ class Observatory {
 
   bool enabled_;
   ObsConfig config_;
-
-  /// Guards every mutable aggregate below. Held only for the duration of
-  /// one emission (no I/O, no callbacks), so it is leaf-level in the
-  /// system's lock order.
-  mutable std::mutex mu_;
 
   Histogram commit_latency_;
   Histogram abort_latency_;

@@ -6,26 +6,6 @@
 
 namespace smdb {
 
-thread_local uint32_t Profiler::tl_depth_ = 0;
-
-const char* SweeperSoloReasonName(SweeperSoloReason r) {
-  switch (r) {
-    case SweeperSoloReason::kIndexDescent:
-      return "index-descent";
-    case SweeperSoloReason::kPageLoad:
-      return "page-load";
-    case SweeperSoloReason::kUndoObligation:
-      return "undo-obligation";
-    case SweeperSoloReason::kTagDischarge:
-      return "tag-discharge";
-    case SweeperSoloReason::kLoneRecord:
-      return "lone-record";
-    case SweeperSoloReason::kSerialSweep:
-      return "serial-sweep";
-  }
-  return "unknown";
-}
-
 const char* ProfPhaseName(ProfPhase p) {
   switch (p) {
     case ProfPhase::kStep:
@@ -51,8 +31,8 @@ const char* ProfPhaseName(ProfPhase p) {
 }
 
 void Profiler::BeginRoot(ProfPhase root) {
-  assert(tl_depth_ == 0);
-  tl_depth_ = 1;
+  assert(depth_ == 0);
+  depth_ = 1;
   path_.assign(ProfPhaseName(root));
   frames_.clear();
   cur_ = &cells_[path_];
@@ -60,16 +40,16 @@ void Profiler::BeginRoot(ProfPhase root) {
 }
 
 void Profiler::EndRoot() {
-  assert(tl_depth_ == 1);
-  tl_depth_ = 0;
+  assert(depth_ == 1);
+  depth_ = 0;
   path_.clear();
   frames_.clear();
   cur_ = nullptr;
 }
 
 void Profiler::Enter(ProfPhase phase) {
-  assert(tl_depth_ >= 1);
-  ++tl_depth_;
+  assert(depth_ >= 1);
+  ++depth_;
   frames_.push_back(path_.size());
   path_.push_back(';');
   path_.append(ProfPhaseName(phase));
@@ -78,46 +58,30 @@ void Profiler::Enter(ProfPhase phase) {
 }
 
 void Profiler::Exit() {
-  assert(tl_depth_ >= 2 && !frames_.empty());
+  assert(depth_ >= 2 && !frames_.empty());
   path_.resize(frames_.back());
   frames_.pop_back();
-  --tl_depth_;
+  --depth_;
   cur_ = &cells_[path_];
 }
 
 ProfilerReport Profiler::Snapshot() const {
   ProfilerReport rep;
   rep.enabled = enabled();
-  rep.sweeper_solo = sweeper_solo_;
   rep.phases = cells_;
   return rep;
 }
 
 void Profiler::Reset() {
-  sweeper_solo_.fill(0);
   cells_.clear();
   path_.clear();
   frames_.clear();
   cur_ = nullptr;
 }
 
-uint64_t ProfilerReport::sweeper_solo_total() const {
-  uint64_t total = 0;
-  for (uint64_t c : sweeper_solo) total += c;
-  return total;
-}
-
 json::Value ProfilerReport::ToJson() const {
   json::Value doc = json::Value::Object();
   doc.Set("enabled", json::Value::Bool(enabled));
-
-  json::Value solo = json::Value::Object();
-  for (size_t i = 0; i < kNumSweeperSoloReasons; ++i) {
-    solo.Set(SweeperSoloReasonName(static_cast<SweeperSoloReason>(i)),
-             json::Value::Uint(sweeper_solo[i]));
-  }
-  doc.Set("sweeper_solo", std::move(solo));
-  doc.Set("sweeper_solo_total", json::Value::Uint(sweeper_solo_total()));
 
   json::Value ph = json::Value::Object();
   for (const auto& [path, cell] : phases) {
@@ -145,11 +109,6 @@ std::string ProfilerReport::ToCollapsed() const {
 json::Value ProfileJsonFromReport(const HarnessReport& report) {
   json::Value doc = json::Value::Object();
   doc.Set("profiler", report.profile.ToJson());
-
-  json::Value sw = json::Value::Object();
-  sw.Set("batches", json::Value::Uint(report.sweep_batches));
-  sw.Set("batched_records", json::Value::Uint(report.sweep_batched_records));
-  doc.Set("sweeper", std::move(sw));
   return doc;
 }
 

@@ -20,14 +20,14 @@ class StableLogStore {
 
   /// Durably appends `records` to `node`'s stream in one bulk move (one
   /// batched disk write in the model; record order — and therefore LSN
-  /// order — is preserved).
+  /// order — is preserved). The insert grows the stream geometrically, so
+  /// appends cost amortised O(batch), not O(stream).
   void Append(NodeId node, std::vector<LogRecord> records) {
     auto& s = streams_[node];
     if (s.empty()) {
       s = std::move(records);
       return;
     }
-    s.reserve(s.size() + records.size());
     s.insert(s.end(), std::make_move_iterator(records.begin()),
              std::make_move_iterator(records.end()));
   }

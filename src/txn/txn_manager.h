@@ -3,13 +3,11 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "btree/btree.h"
-#include "common/atomic_util.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/dependency_tracker.h"
@@ -166,7 +164,6 @@ class TxnManager {
   /// Iterates every transaction ever begun, in id order (state digests and
   /// verification oracles; no machine cost).
   void ForEachTxn(const std::function<void(const Transaction&)>& fn) const {
-    std::lock_guard<std::mutex> lk(txn_mu_);
     for (const auto& [id, t] : txns_) fn(*t);
   }
 
@@ -272,18 +269,12 @@ class TxnManager {
   TouchRecordFn touch_record_;  // unset when on-demand recovery is off
   TouchKeyFn touch_key_;
 
-  /// Guards txns_ / waiting_for_ / parallel_ / groups_ structure. Steps
-  /// run on one thread, so the latch is uncontended; it covers map
-  /// structure, never Transaction fields. Ordering:
-  /// txn_mu_ may be held across LockTable calls (WouldDeadlock's DFS), so
-  /// the lock-table stripe latches nest inside it, never the reverse.
-  mutable std::mutex txn_mu_;
   std::map<TxnId, std::unique_ptr<Transaction>> txns_;
   std::map<TxnId, uint64_t> waiting_for_;  // txn -> lock name being awaited
   std::vector<std::unique_ptr<ParallelTxn>> parallel_;
   std::map<TxnId, std::vector<TxnId>> groups_;  // branch -> sibling ids
   std::vector<uint64_t> next_seq_;         // per-node txn sequence numbers
-  uint64_t begin_counter_ = 0;             // bumped via AtomicIncFetch
+  uint64_t begin_counter_ = 0;
   std::vector<TxnObserver*> observers_;
   TxnManagerStats stats_;
 };

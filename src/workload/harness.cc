@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/on_demand.h"
 #include "db/page_layout.h"
 
 namespace smdb {
@@ -259,11 +258,6 @@ void Harness::FillReport(HarnessReport* report) {
   report->steps = exec_->steps();
   report->total_time_ns = db_->machine().GlobalTime();
   report->latency = db_->observatory().Snapshot();
-  if (db_->on_demand() != nullptr) {
-    report->sweep_batches = db_->on_demand()->stats().sweep_batches;
-    report->sweep_batched_records =
-        db_->on_demand()->stats().sweep_batched_records;
-  }
   report->profile = db_->profiler().Snapshot();
 }
 

@@ -30,7 +30,7 @@ struct HarnessConfig {
   uint64_t seed = 99;
   /// Snapshot a StateDigest right after each recovery (before verification
   /// and any node restart) into HarnessReport::digests. The differential
-  /// parallel-recovery oracle compares these across thread counts.
+  /// partitioned-recovery oracle compares these across stream counts.
   bool capture_digests = false;
   /// On-demand recovery only: drain every lazy obligation right after the
   /// crash-time prefix returns, before digests, verification, and restart.
@@ -91,10 +91,6 @@ struct HarnessReport {
   /// Observatory snapshot; enabled=false (and otherwise empty) unless
   /// DatabaseConfig::obs.enabled was set.
   LatencyReport latency;
-  /// On-demand sweeper parallel-batch counters (zero when on_demand is off
-  /// or the sweeper never batched).
-  uint64_t sweep_batches = 0;
-  uint64_t sweep_batched_records = 0;
   /// Profiler snapshot; enabled=false (and otherwise empty) unless
   /// DatabaseConfig::profiler.enabled was set.
   ProfilerReport profile;

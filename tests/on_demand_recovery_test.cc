@@ -5,7 +5,7 @@
 // drained immediately after the crash-time prefix (before any new traffic)
 // must be bit-identical — every captured StateDigest — to the plain eager
 // run of the same schedule, across fuzz seeds, protocol presets, and
-// recovery thread widths. On top of that, lazy runs that actually serve
+// recovery stream widths. On top of that, lazy runs that actually serve
 // traffic through the Recovering window (first-touch discharge racing the
 // background sweeper, crashes landing mid-recovery) must keep the IFA
 // oracle clean, and the availability decoupling must be visible: commits
@@ -21,6 +21,7 @@
 #include "core/on_demand.h"
 #include "core/state_digest.h"
 #include "fuzz/fuzzer.h"
+#include "run_matrix.h"
 #include "workload/harness.h"
 
 namespace smdb {
@@ -42,30 +43,16 @@ std::vector<RecoveryConfig> OnDemandProtocols() {
   };
 }
 
-/// Eager vs drain-immediately at one thread width: with the Recovering
+/// Eager vs drain-immediately at one stream width: with the Recovering
 /// window collapsed the two runs must be step-for-step identical, so every
 /// digest (per recovery and final) matches bit for bit.
-void ExpectLazyDrainMatchesEager(uint64_t seed, const RecoveryConfig& rc,
-                                 uint32_t threads) {
-  std::string where = "seed " + std::to_string(seed) + " protocol " +
-                      rc.Name() + " W=" + std::to_string(threads);
-  FuzzCase fc = SampleFuzzCase(seed);
-
-  HarnessConfig eager = MakeHarnessConfig(fc, rc);
-  eager.db.recovery.recovery_threads = threads;
-  eager.capture_digests = true;
-  Harness he(eager);
-  auto eager_report = he.Run();
+void ExpectLazyDrainMatchesEager(const std::string& where,
+                                 const Result<HarnessReport>& eager_report,
+                                 const Result<HarnessReport>& lazy_report) {
   ASSERT_TRUE(eager_report.ok())
       << where << ": " << eager_report.status().ToString();
   ASSERT_TRUE(eager_report->verify_status.ok())
       << where << ": " << eager_report->verify_status.ToString();
-
-  HarnessConfig lazy = eager;
-  lazy.db.recovery.on_demand = true;
-  lazy.drain_recovery_immediately = true;
-  Harness hl(lazy);
-  auto lazy_report = hl.Run();
   ASSERT_TRUE(lazy_report.ok())
       << where << ": " << lazy_report.status().ToString();
   ASSERT_TRUE(lazy_report->verify_status.ok())
@@ -101,12 +88,30 @@ void ExpectLazyDrainMatchesEager(uint64_t seed, const RecoveryConfig& rc,
       << where;
 }
 
+/// Every (seed, protocol) cell runs eager and drain-immediately; the runs
+/// fan out over a ThreadPool and are compared in matrix order.
 void RunDigestMatrix(uint64_t begin, uint64_t end, uint32_t threads) {
+  std::vector<std::string> names;
+  std::vector<HarnessConfig> cfgs;  // eager, lazy, eager, lazy, ...
   for (uint64_t seed = begin; seed < end; ++seed) {
+    FuzzCase fc = SampleFuzzCase(seed);
     for (const RecoveryConfig& rc : OnDemandProtocols()) {
-      ExpectLazyDrainMatchesEager(seed, rc, threads);
-      if (::testing::Test::HasFatalFailure()) return;
+      names.push_back("seed " + std::to_string(seed) + " protocol " +
+                      rc.Name() + " W=" + std::to_string(threads));
+      HarnessConfig eager = MakeHarnessConfig(fc, rc);
+      eager.db.recovery.recovery_threads = threads;
+      eager.capture_digests = true;
+      HarnessConfig lazy = eager;
+      lazy.db.recovery.on_demand = true;
+      lazy.drain_recovery_immediately = true;
+      cfgs.push_back(std::move(eager));
+      cfgs.push_back(std::move(lazy));
     }
+  }
+  const std::vector<Result<HarnessReport>> runs = RunAll(cfgs);
+  for (size_t c = 0; c < names.size(); ++c) {
+    ExpectLazyDrainMatchesEager(names[c], runs[2 * c], runs[2 * c + 1]);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -119,18 +124,18 @@ TEST(OnDemandDigest, DrainMatchesEagerSerialShard1) {
 TEST(OnDemandDigest, DrainMatchesEagerW4) { RunDigestMatrix(0, 8, 4); }
 TEST(OnDemandDigest, DrainMatchesEagerW8) { RunDigestMatrix(8, 16, 8); }
 
-// The pool-backed sweeper: with a per-step budget and recovery_threads > 1,
-// SweepStep dispatches batches of clean heap records (USN-guarded redo
-// only, pairwise-distinct pages) onto the RecoveryManager's ThreadPool.
-// Performers are drawn at plan time in sweep order and USN-allocating work
-// runs solo, so the USN stream — and therefore every captured digest —
-// must match the serial sweep bit for bit. Single-crash schedules only:
-// CLR placement inside the eager prefix is performer-dependent at W > 1
-// and feeds later recoveries' log scans, so only the first parallelised
-// recovery is digest-comparable (the repo-wide caveat, cf.
-// recovery_equivalence_test).
+// The sweeper with a per-step budget at recovery_threads > 1: performers
+// are drawn in sweep order from the same round-robin sequence at every
+// width, and the sweep runs serially, so the USN stream — and therefore
+// every captured digest — must match the W = 1 sweep bit for bit.
+// Single-crash schedules only: CLR placement inside the eager prefix is
+// performer-dependent at W > 1 and feeds later recoveries' log scans, so
+// only the first partitioned recovery is digest-comparable (the repo-wide
+// caveat, cf. recovery_equivalence_test).
 TEST(OnDemandDigest, ParallelSweepMatchesSerialSweep) {
-  uint64_t batched_total = 0;
+  const std::vector<uint32_t> widths = {1, 4, 8};
+  std::vector<std::string> names;
+  std::vector<HarnessConfig> cfgs;  // widths.size() runs per cell
   for (uint64_t seed : {2u, 9u, 17u, 29u}) {
     FuzzCase fc = SampleFuzzCase(seed);
     for (const RecoveryConfig& rc : OnDemandProtocols()) {
@@ -138,47 +143,41 @@ TEST(OnDemandDigest, ParallelSweepMatchesSerialSweep) {
       if (base.crashes.empty()) continue;
       base.crashes.resize(1);
       base.db.recovery.on_demand = true;
-      // Small pages spread the fuzz table across many heap pages: batch
-      // members must sit on pairwise-distinct pages (they share the header
-      // line and Page-LSN otherwise), so a one-page table can never batch.
+      // Small pages spread the fuzz table across many heap pages, so the
+      // streams' page partitions differ from the serial assignment.
       base.db.page_size = 512;
       base.pump_recovery_per_step = 4;
       base.capture_digests = true;
-      std::string ctx = "seed " + std::to_string(seed) + " " + rc.Name();
-
-      Harness hs(base);
-      auto serial = hs.Run();
-      ASSERT_TRUE(serial.ok()) << ctx << ": " << serial.status().ToString();
-      ASSERT_TRUE(serial->verify_status.ok())
-          << ctx << ": " << serial->verify_status.ToString();
-
-      for (uint32_t threads : {4u, 8u}) {
-        std::string where = ctx + " W=" + std::to_string(threads);
-        HarnessConfig par = base;
-        par.db.recovery.recovery_threads = threads;
-        Harness hp(par);
-        auto report = hp.Run();
-        ASSERT_TRUE(report.ok())
-            << where << ": " << report.status().ToString();
-        ASSERT_TRUE(report->verify_status.ok())
-            << where << ": " << report->verify_status.ToString();
-        ASSERT_EQ(report->digests.size(), serial->digests.size()) << where;
-        for (size_t i = 0; i < serial->digests.size(); ++i) {
-          ASSERT_EQ(report->digests[i], serial->digests[i])
-              << where << " digest " << i
-              << "\n  serial:   " << serial->digests[i].ToString()
-              << "\n  parallel: " << report->digests[i].ToString();
-        }
-        EXPECT_EQ(report->exec.committed, serial->exec.committed) << where;
-        if (hp.db().on_demand() != nullptr) {
-          batched_total += hp.db().on_demand()->stats().sweep_batched_records;
-        }
+      names.push_back("seed " + std::to_string(seed) + " " + rc.Name());
+      for (uint32_t threads : widths) {
+        cfgs.push_back(base);
+        cfgs.back().db.recovery.recovery_threads = threads;
       }
     }
   }
-  EXPECT_GT(batched_total, 0u)
-      << "no run ever dispatched a pool batch — the parallel sweep path "
-         "was never exercised";
+  const std::vector<Result<HarnessReport>> runs = RunAll(cfgs);
+  for (size_t c = 0; c < names.size(); ++c) {
+    const Result<HarnessReport>& serial = runs[c * widths.size()];
+    ASSERT_TRUE(serial.ok()) << names[c] << ": " << serial.status().ToString();
+    ASSERT_TRUE(serial->verify_status.ok())
+        << names[c] << ": " << serial->verify_status.ToString();
+    for (size_t w = 1; w < widths.size(); ++w) {
+      std::string where = names[c] + " W=" + std::to_string(widths[w]);
+      const Result<HarnessReport>& report = runs[c * widths.size() + w];
+      ASSERT_TRUE(report.ok())
+          << where << ": " << report.status().ToString();
+      ASSERT_TRUE(report->verify_status.ok())
+          << where << ": " << report->verify_status.ToString();
+      ASSERT_EQ(report->digests.size(), serial->digests.size()) << where;
+      for (size_t i = 0; i < serial->digests.size(); ++i) {
+        ASSERT_EQ(report->digests[i], serial->digests[i])
+            << where << " digest " << i
+            << "\n  serial:   " << serial->digests[i].ToString()
+            << "\n  parallel: " << report->digests[i].ToString();
+      }
+      EXPECT_EQ(report->exec.committed, serial->exec.committed) << where;
+    }
+  }
 }
 
 // Serving traffic through the Recovering window: first-touch discharges
@@ -206,9 +205,9 @@ TEST(OnDemandServing, FirstTouchRacesSweeperCleanly) {
 }
 
 // A second crash landing while the first crash's obligations are still
-// pending: RecoveryManager resets the driver and re-derives everything
-// from stable state, so back-to-back crash plans with no draining traffic
-// between them must still verify.
+// pending: RecoveryManager supersedes the open window and re-derives the
+// obligations from stable state, so back-to-back crash plans with no
+// draining traffic between them must still verify.
 TEST(OnDemandServing, CrashDuringRecoveringWindowVerifies) {
   for (uint64_t seed : {5u, 19u, 33u}) {
     FuzzCase fc = SampleFuzzCase(seed);
@@ -234,6 +233,74 @@ TEST(OnDemandServing, CrashDuringRecoveringWindowVerifies) {
           << where << ": " << report->verify_status.ToString();
     }
   }
+}
+
+// A crash that supersedes a Recovering window after one of that window's
+// dead nodes has restarted. Node 2 crashes at step 102 with an uncommitted
+// update that migrated into a survivor's cache (tagged n2) and restarts;
+// node 3 crashes at step 105 before anything discharges that tag. Node 2
+// is alive at the second crash, so the second recovery's dead set no
+// longer names it — the superseded window must hand its owed tags over, or
+// the annulled update survives as committed state (the fuzzer found this
+// as seed 223 of `smdb_fuzz --on-demand-recovery`; shrunk here).
+/// Runs a fuzz case (JSON, as in a replay document's "case") under
+/// volatile-selective with on-demand recovery and the fuzzer's sweep budget.
+Result<HarnessReport> RunOnDemandCase(const std::string& case_json) {
+  auto doc = json::Value::Parse(case_json);
+  if (!doc.ok()) return doc.status();
+  auto fc = FuzzCase::FromJson(*doc);
+  if (!fc.ok()) return fc.status();
+  RecoveryConfig rc = RecoveryConfig::VolatileSelectiveRedo();
+  rc.on_demand = true;
+  HarnessConfig cfg = MakeHarnessConfig(*fc, rc);
+  cfg.pump_recovery_per_step = 2;  // the fuzzer's on-demand sweep budget
+  Harness h(cfg);
+  return h.Run();
+}
+
+TEST(OnDemandServing, SupersedingCrashKeepsRestartedNodesTagUndo) {
+  auto report = RunOnDemandCase(R"({
+    "num_nodes": 7, "num_records": 64, "record_data_size": 16,
+    "workload": {"txns_per_node": 7, "ops_per_txn": 3,
+                 "write_ratio": 0.87704901621706721, "index_op_ratio": 0,
+                 "dirty_read_ratio": 0, "zipf_theta": 0,
+                 "shared_fraction": 1, "voluntary_abort_ratio": 0,
+                 "index_key_space": 256, "seed": 4855629465752585930},
+    "crashes": [{"at_step": 102, "nodes": [2], "restart_after": true},
+                {"at_step": 88, "nodes": [5], "restart_after": false},
+                {"at_step": 105, "nodes": [3], "restart_after": false}],
+    "steal_flush_prob": 0, "checkpoint_every_steps": 0,
+    "harness_seed": 8230382531274601360})");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->recoveries.size(), 3u);
+  EXPECT_TRUE(report->verify_status.ok()) << report->verify_status.ToString();
+}
+
+// The deferred tag scan must cover every live cache. Node 5 crashes at step
+// 202 holding an uncommitted index insert of key 32 whose leaf line
+// migrated to a survivor (tagged n5, never logged stably), and restarts.
+// Its new transactions pull that leaf line into node 5's own cache before
+// the sweeper reaches the residual tag scan, so a scan over the crash-time
+// survivors alone misses the tag and key 32 stays live (the fuzzer found
+// this as seed 1710 of `smdb_fuzz --on-demand-recovery`; shrunk here).
+TEST(OnDemandServing, DeferredTagScanCoversRestartedNodesCache) {
+  auto report = RunOnDemandCase(R"({
+    "num_nodes": 6, "num_records": 128, "record_data_size": 16,
+    "workload": {"txns_per_node": 6, "ops_per_txn": 6,
+                 "write_ratio": 0.8521001647650155,
+                 "index_op_ratio": 0.2654122013665983,
+                 "dirty_read_ratio": 0, "zipf_theta": 0.9,
+                 "shared_fraction": 1, "voluntary_abort_ratio": 0,
+                 "index_key_space": 256, "seed": 1675615872171126815},
+    "crashes": [{"at_step": 41, "nodes": [1], "restart_after": false},
+                {"at_step": 14, "nodes": [0], "restart_after": false},
+                {"at_step": 194, "nodes": [3], "restart_after": false},
+                {"at_step": 202, "nodes": [5], "restart_after": true}],
+    "steal_flush_prob": 0, "checkpoint_every_steps": 0,
+    "harness_seed": 5489097691503353357})");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->recoveries.size(), 4u);
+  EXPECT_TRUE(report->verify_status.ok()) << report->verify_status.ToString();
 }
 
 struct Fx {

@@ -313,5 +313,26 @@ TEST(StableLogStoreTest, PerNodeStreams) {
   EXPECT_EQ(s.LastLsn(2), kInvalidLsn);
 }
 
+TEST(StableLogStoreTest, AppendGrowsStreamGeometrically) {
+  // Each force appends one batch. An exact-size reserve before every insert
+  // relocates the whole stream each time (O(n^2) over a run); geometric
+  // growth relocates it O(log n) times.
+  StableLogStore s(1);
+  int relocations = 0;
+  const LogRecord* data = nullptr;
+  for (Lsn lsn = 1; lsn <= 4096; ++lsn) {
+    LogRecord r;
+    r.lsn = lsn;
+    s.Append(0, {r});
+    if (s.Records(0).data() != data) {
+      ++relocations;
+      data = s.Records(0).data();
+    }
+  }
+  EXPECT_EQ(s.Records(0).size(), 4096u);
+  EXPECT_EQ(s.LastLsn(0), 4096u);
+  EXPECT_LE(relocations, 20);
+}
+
 }  // namespace
 }  // namespace smdb

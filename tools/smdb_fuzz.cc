@@ -59,8 +59,8 @@ void Usage() {
       "                        stable-triggered-selective | reboot-all |\n"
       "                        abort-dependents   (default: all)\n"
       "  --break=no-undo-tags  fault injection: disable undo tagging\n"
-      "  --recovery-threads=N  also run the parallel-recovery differential:\n"
-      "                        every recovery re-runs at N worker streams\n"
+      "  --recovery-threads=N  also run the partitioned-recovery differential:\n"
+      "                        every recovery re-runs at N simulated streams\n"
       "                        and must produce the serial run's state\n"
       "                        digest (default 1 = off)\n"
       "  --jobs=N              shard seeds across N worker threads; the\n"

@@ -2,10 +2,8 @@
 // `smdb_run --profile-out=...` (or bench_throughput's BENCH_exec_profile
 // snapshot).
 //
-// Checks: the document parses and carries profiler/sweeper sections, every
-// sweeper-solo reason name is one this build knows (every known name is
-// present, zeros included) and the reasons sum to sweeper_solo_total, and
-// every phase path is rooted at step/sweep/recovery with ns/ticks/samples.
+// Checks: the document parses and carries a profiler section, and every
+// phase path is rooted at step/sweep/recovery with ns/ticks/samples.
 //
 // Accepts either a single profile document (smdb_run) or a snapshot map of
 // them keyed by series name (bench_throughput's BENCH_exec_profile.json);
@@ -22,7 +20,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -44,45 +41,6 @@ bool ReadAll(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Checks one reason table: every key known, every known name present,
-/// values sum to `total_key`'s value. Returns the sum via *sum.
-bool CheckReasons(const std::string& path, const json::Value& doc,
-                  const char* table_key, const char* total_key,
-                  const std::set<std::string>& known, uint64_t* sum) {
-  const json::Value* table = doc.Find(table_key);
-  if (table == nullptr || !table->is_object()) {
-    std::fprintf(stderr, "%s: missing %s object\n", path.c_str(), table_key);
-    return false;
-  }
-  *sum = 0;
-  std::set<std::string> seen;
-  for (const auto& [name, count] : table->members()) {
-    if (known.find(name) == known.end()) {
-      std::fprintf(stderr, "%s: %s has unknown reason \"%s\"\n", path.c_str(),
-                   table_key, name.c_str());
-      return false;
-    }
-    seen.insert(name);
-    *sum += count.AsUint();
-  }
-  for (const std::string& name : known) {
-    if (seen.find(name) == seen.end()) {
-      std::fprintf(stderr, "%s: %s lacks reason \"%s\" (zeros are exported "
-                   "too)\n", path.c_str(), table_key, name.c_str());
-      return false;
-    }
-  }
-  const uint64_t total = doc.GetUint(total_key);
-  if (total != *sum) {
-    std::fprintf(stderr,
-                 "%s: %s = %llu but %s sums to %llu\n", path.c_str(),
-                 total_key, static_cast<unsigned long long>(total), table_key,
-                 static_cast<unsigned long long>(*sum));
-    return false;
-  }
-  return true;
-}
-
 bool IsPhaseRoot(const std::string& frame) {
   return frame == ProfPhaseName(ProfPhase::kStep) ||
          frame == ProfPhaseName(ProfPhase::kSweep) ||
@@ -91,11 +49,8 @@ bool IsPhaseRoot(const std::string& frame) {
 
 int CheckProfileDoc(const std::string& path, const json::Value& doc) {
   const json::Value* prof = doc.Find("profiler");
-  const json::Value* sweeper = doc.Find("sweeper");
-  if (prof == nullptr || !prof->is_object() || sweeper == nullptr ||
-      !sweeper->is_object()) {
-    std::fprintf(stderr, "%s: missing profiler/sweeper sections\n",
-                 path.c_str());
+  if (prof == nullptr || !prof->is_object()) {
+    std::fprintf(stderr, "%s: missing profiler section\n", path.c_str());
     return 1;
   }
   if (!prof->GetBool("enabled")) {
@@ -104,17 +59,6 @@ int CheckProfileDoc(const std::string& path, const json::Value& doc) {
     std::printf("%s: ok — profiler disabled, nothing to validate\n",
                 path.c_str());
     return 0;
-  }
-
-  std::set<std::string> solo_names;
-  for (size_t i = 0; i < kNumSweeperSoloReasons; ++i) {
-    solo_names.insert(
-        SweeperSoloReasonName(static_cast<SweeperSoloReason>(i)));
-  }
-  uint64_t solo_sum = 0;
-  if (!CheckReasons(path, *prof, "sweeper_solo", "sweeper_solo_total",
-                    solo_names, &solo_sum)) {
-    return 1;
   }
 
   const json::Value* phases = prof->Find("phases");
@@ -137,8 +81,7 @@ int CheckProfileDoc(const std::string& path, const json::Value& doc) {
     }
   }
 
-  std::printf("%s: ok — %llu sweeper solo discharges, %zu phase cells\n",
-              path.c_str(), static_cast<unsigned long long>(solo_sum),
+  std::printf("%s: ok — %zu phase cells\n", path.c_str(),
               phases->members().size());
   return 0;
 }

@@ -41,8 +41,8 @@ void Usage() {
       "restarts)\n"
       "  --steal=F                per-step steal flush probability\n"
       "  --checkpoint-every=N     steps between checkpoints (default 0)\n"
-      "  --recovery-threads=N     worker streams for restart recovery\n"
-      "                           (default 1 = serial)\n"
+      "  --recovery-threads=N     simulated performer streams for restart\n"
+      "                           recovery (default 1 = serial)\n"
       "  --on-demand-recovery     instant recovery: run only the eager\n"
       "                           crash-time prefix, serve traffic in the\n"
       "                           Recovering state, discharge obligations\n"
