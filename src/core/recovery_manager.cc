@@ -635,13 +635,13 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
 
   // Owning transaction of a tagged USN, for the tag-decision trace (and
   // forensics); kInvalidTxn when the record only ever lived in a lost tail.
-  auto owner_of = [&](uint64_t usn) {
+  [[maybe_unused]] auto owner_of = [&](uint64_t usn) {
     auto it = usn_owner.find(usn);
     return it != usn_owner.end() ? it->second : kInvalidTxn;
   };
   for (const HeapCand& c : heap_cands) {
     NodeId p = heap_performer(c);
-    const uint64_t rid_enc =
+    [[maybe_unused]] const uint64_t rid_enc =
         (static_cast<uint64_t>(c.rid.page) << 16) | c.rid.slot;
     if (c.stale_clear) {
       // Commit happened; only the tag-clear was lost. Clear it now.

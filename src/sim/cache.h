@@ -3,10 +3,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
+#include "sim/line_table.h"
 
 namespace smdb {
 
@@ -20,8 +19,10 @@ enum class LineState : uint8_t {
   kExclusive,
 };
 
-/// One node's cache: a map from line address to (state, data). The Machine
-/// performs all state transitions; Cache is plain storage plus scan support.
+/// One node's cache: line address -> (state, data), indexed directly by
+/// LineAddr (see LineTable). The Machine performs all state transitions;
+/// Cache is plain storage plus scan support. `Entry::data` points at the
+/// line's line_size bytes and stays valid until the line is erased.
 ///
 /// Selective Redo's restart step ("each surviving node will perform a
 /// sequential search of all cache lines") is served by ForEachLine.
@@ -29,32 +30,32 @@ class Cache {
  public:
   struct Entry {
     LineState state = LineState::kInvalid;
-    std::vector<uint8_t> data;
+    uint8_t* data = nullptr;
   };
 
   explicit Cache(uint32_t line_size)
-      : line_size_(line_size) {}
+      : line_size_(line_size), lines_(line_size) {}
 
   /// Returns the entry for `line`, or nullptr if not cached.
-  Entry* Find(LineAddr line);
-  const Entry* Find(LineAddr line) const;
+  Entry* Find(LineAddr line) { return lines_.Find(line); }
+  const Entry* Find(LineAddr line) const { return lines_.Find(line); }
 
-  /// Inserts or replaces the entry for `line`.
-  Entry& Insert(LineAddr line, LineState state,
-                const std::vector<uint8_t>& data);
+  /// Inserts or replaces the entry for `line`, copying line_size bytes from
+  /// `data` (which may be the entry's own data).
+  Entry& Insert(LineAddr line, LineState state, const uint8_t* data);
 
   /// Drops `line` from the cache (no writeback; the simulator's caller is
   /// responsible for preserving data if needed).
-  void Erase(LineAddr line);
+  void Erase(LineAddr line) { lines_.Remove(line); }
 
   /// Destroys the entire cache contents (used by crash injection and by the
   /// Redo All recovery scheme's "discard all cached database records" step).
-  void Clear();
+  void Clear() { lines_.Clear(); }
 
   /// Number of resident lines.
   size_t size() const { return lines_.size(); }
 
-  /// Sequential scan over all resident lines.
+  /// Sequential scan over all resident lines, in unspecified order.
   void ForEachLine(
       const std::function<void(LineAddr, const Entry&)>& fn) const;
 
@@ -62,7 +63,7 @@ class Cache {
 
  private:
   uint32_t line_size_;
-  std::unordered_map<LineAddr, Entry> lines_;
+  LineTable<Entry> lines_;
 };
 
 }  // namespace smdb

@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
-#include "sim/cache.h"
+#include "sim/line_table.h"
 
 namespace smdb {
 
@@ -23,8 +21,9 @@ struct DirEntry {
   NodeId owner = kInvalidNode;
   /// True if the home memory copy matches the most recent write.
   bool mem_valid = false;
-  /// Contents of the home memory copy (possibly stale when !mem_valid).
-  std::vector<uint8_t> mem_data;
+  /// Contents of the home memory copy (possibly stale when !mem_valid):
+  /// line_size bytes owned by the Directory.
+  uint8_t* mem_data = nullptr;
   /// True if no valid copy survived a crash: references return an invalid
   /// flag until software re-materialises the line.
   bool lost = false;
@@ -40,26 +39,34 @@ struct DirEntry {
 };
 
 /// The machine-wide cache directory. In hardware this is distributed among
-/// the memory controllers; here it is a single map, which is equivalent for
-/// a functional + timing simulation. Returned DirEntry references stay
-/// valid across inserts (unordered_map never relocates elements).
+/// the memory controllers; here it is a single table indexed directly by
+/// LineAddr (see LineTable), which is equivalent for a functional + timing
+/// simulation. An entry exists only once its line has been touched, so
+/// "never touched" (Find == nullptr) stays distinct from "created". Returned
+/// DirEntry references stay valid across later Creates.
 class Directory {
  public:
-  /// Returns the entry for `line`, creating it with the given home node if
-  /// absent.
-  DirEntry& GetOrCreate(LineAddr line, NodeId home, uint32_t line_size);
+  explicit Directory(uint32_t line_size)
+      : line_size_(line_size), entries_(line_size) {}
+
+  /// Creates the entry for absent `line` with the given home node and
+  /// zero-filled, current home memory.
+  DirEntry& Create(LineAddr line, NodeId home);
 
   /// Returns the entry for `line` or nullptr.
-  DirEntry* Find(LineAddr line);
-  const DirEntry* Find(LineAddr line) const;
+  DirEntry* Find(LineAddr line) { return entries_.Find(line); }
+  const DirEntry* Find(LineAddr line) const { return entries_.Find(line); }
 
-  /// Iterates over all known lines.
-  void ForEach(const std::function<void(LineAddr, DirEntry&)>& fn);
+  /// Iterates over all known lines, in unspecified order.
+  void ForEach(const std::function<void(LineAddr, DirEntry&)>& fn) {
+    entries_.ForEach(fn);
+  }
 
   size_t size() const { return entries_.size(); }
 
  private:
-  std::unordered_map<LineAddr, DirEntry> entries_;
+  uint32_t line_size_;
+  LineTable<DirEntry> entries_;
 };
 
 }  // namespace smdb

@@ -8,7 +8,8 @@
 
 namespace smdb {
 
-Machine::Machine(MachineConfig config) : config_(config) {
+Machine::Machine(MachineConfig config)
+    : config_(config), directory_(config_.line_size) {
   assert(config_.num_nodes > 0 && config_.num_nodes <= kMaxNodes);
   caches_.reserve(config_.num_nodes);
   for (uint16_t i = 0; i < config_.num_nodes; ++i) {
@@ -41,22 +42,21 @@ NodeId Machine::HomeOf(LineAddr line) const {
   return static_cast<NodeId>(line % config_.num_nodes);
 }
 
-const std::vector<uint8_t>* Machine::CurrentData(const DirEntry& e,
-                                                 LineAddr line) const {
+const uint8_t* Machine::CurrentData(const DirEntry& e, LineAddr line) const {
   if (e.lost) return nullptr;
   // Prefer a cached copy (owner first, then any sharer).
   if (e.owner != kInvalidNode) {
     const Cache::Entry* ce = caches_[e.owner].Find(line);
     assert(ce != nullptr);
-    return &ce->data;
+    return ce->data;
   }
   if (e.sharers != 0) {
     NodeId n = static_cast<NodeId>(__builtin_ctzll(e.sharers));
     const Cache::Entry* ce = caches_[n].Find(line);
     assert(ce != nullptr);
-    return &ce->data;
+    return ce->data;
   }
-  if (e.mem_valid) return &e.mem_data;
+  if (e.mem_valid) return e.mem_data;
   return nullptr;
 }
 
@@ -67,8 +67,7 @@ void Machine::FireCoherence(CoherenceEvent::Kind kind, LineAddr line,
   for (const auto& hook : coherence_hooks_) hook(ev);
 }
 
-Status Machine::ReadLine(NodeId node, LineAddr line,
-                         const std::vector<uint8_t>** data) {
+Status Machine::ReadLine(NodeId node, LineAddr line, const uint8_t** data) {
   if (!alive_[node]) return Status::NodeFailed("read from crashed node");
   DirEntry& e = Entry(line);
   if (e.lost) {
@@ -80,7 +79,7 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
   if (e.cached_by(node)) {
     ++stats_.local_hits;
     Tick(node, config_.timing.cache_hit_ns);
-    *data = &cache.Find(line)->data;
+    *data = cache.Find(line)->data;
     return Status::Ok();
   }
   // Miss. Find the current data. The whole miss service (downgrades,
@@ -117,9 +116,9 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
     Tick(node, config_.timing.remote_transfer_ns);
   } else if (e.sharers != 0) {
     // Shared at one or more remote caches: copy from one of them.
-    const std::vector<uint8_t>* src = CurrentData(e, line);
+    const uint8_t* src = CurrentData(e, line);
     assert(src != nullptr);
-    cache.Insert(line, LineState::kShared, *src);
+    cache.Insert(line, LineState::kShared, src);
     e.sharers |= (1ULL << node);
     ++stats_.remote_transfers;
     if (e.last_writer != kInvalidNode && e.last_writer != node) {
@@ -143,7 +142,7 @@ Status Machine::ReadLine(NodeId node, LineAddr line,
     stats_.last_lost_reference = line;
     return Status::LineLost("no valid copy");
   }
-  *data = &cache.Find(line)->data;
+  *data = cache.Find(line)->data;
   return Status::Ok();
 }
 
@@ -166,19 +165,21 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
   // Fetch current data if we do not hold a valid copy. From here on
   // (fetch, invalidations, migration) is coherence miss service.
   ProfScope coherence(prof_, ProfPhase::kCoherence);
+  // Snapshot the current data: the invalidations below fire hooks, which
+  // may reuse the source copy's storage.
   std::vector<uint8_t> data;
   SimTime cost = 0;
   if (mine != nullptr) {
-    data = mine->data;
+    data.assign(mine->data, mine->data + config_.line_size);
     cost = config_.timing.cache_hit_ns;
   } else {
-    const std::vector<uint8_t>* src = CurrentData(e, line);
+    const uint8_t* src = CurrentData(e, line);
     if (src == nullptr) {
       ++stats_.lost_line_references;
       stats_.last_lost_reference = line;
       return Status::LineLost("no valid copy");
     }
-    data = *src;
+    data.assign(src, src + config_.line_size);
     if (e.sharers != 0 || e.owner != kInvalidNode) {
       cost = config_.timing.remote_transfer_ns;
       ++stats_.remote_transfers;
@@ -220,7 +221,7 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
                          .a = line});
   }
 
-  cache.Insert(line, LineState::kExclusive, data);
+  cache.Insert(line, LineState::kExclusive, data.data());
   e.sharers = (1ULL << node);
   e.owner = node;
   Tick(node, cost);
@@ -234,7 +235,7 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
       !e.cached_by(node) && !e.lost) {
     // A broadcast machine first obtains a valid copy (shared), then updates
     // every copy in place; no invalidation ever occurs.
-    const std::vector<uint8_t>* unused = nullptr;
+    const uint8_t* unused = nullptr;
     SMDB_RETURN_IF_ERROR(ReadLine(node, line, &unused));
   }
   if (config_.coherence == CoherenceKind::kWriteBroadcast &&
@@ -251,7 +252,7 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
       sharers &= sharers - 1;
       Cache::Entry* ce = caches_[s].Find(line);
       assert(ce != nullptr);
-      std::memcpy(ce->data.data() + offset, data, len);
+      std::memcpy(ce->data + offset, data, len);
       if (s != node) {
         ++stats_.broadcast_updates;
         Tick(node, config_.timing.cpu_op_ns);
@@ -267,7 +268,7 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
   // holds no copy yet: it must first fetch the line).
   SMDB_RETURN_IF_ERROR(AcquireExclusive(node, line, /*for_line_lock=*/false));
   Cache::Entry* ce = caches_[node].Find(line);
-  std::memcpy(ce->data.data() + offset, data, len);
+  std::memcpy(ce->data + offset, data, len);
   e.mem_valid = false;
   e.last_writer = node;
   if (config_.coherence == CoherenceKind::kWriteBroadcast) {
@@ -278,16 +279,16 @@ Status Machine::WriteSpan(NodeId node, LineAddr line, uint32_t offset,
   return Status::Ok();
 }
 
-Status Machine::Read(NodeId node, Addr addr, void* out, size_t len) {
+Status Machine::ReadSlow(NodeId node, Addr addr, void* out, size_t len) {
   uint8_t* dst = static_cast<uint8_t*>(out);
   ++stats_.reads;
   while (len > 0) {
     LineAddr line = LineOf(addr);
     uint32_t offset = static_cast<uint32_t>(addr % config_.line_size);
     size_t chunk = std::min<size_t>(len, config_.line_size - offset);
-    const std::vector<uint8_t>* data = nullptr;
+    const uint8_t* data = nullptr;
     SMDB_RETURN_IF_ERROR(ReadLine(node, line, &data));
-    std::memcpy(dst, data->data() + offset, chunk);
+    std::memcpy(dst, data + offset, chunk);
     dst += chunk;
     addr += chunk;
     len -= chunk;
@@ -329,7 +330,7 @@ Status Machine::GetLine(NodeId node, LineAddr line) {
   bool local_exclusive = e.owner == node;
   Status s;
   if (config_.coherence == CoherenceKind::kWriteBroadcast) {
-    const std::vector<uint8_t>* data = nullptr;
+    const uint8_t* data = nullptr;
     s = ReadLine(node, line, &data);
   } else {
     s = AcquireExclusive(node, line, /*for_line_lock=*/true);
@@ -370,10 +371,7 @@ void Machine::InstallToMemory(Addr addr, const void* data, size_t len) {
     }
     e.sharers = 0;
     e.owner = kInvalidNode;
-    if (e.mem_data.size() != config_.line_size) {
-      e.mem_data.assign(config_.line_size, 0);
-    }
-    std::memcpy(e.mem_data.data() + offset, src, chunk);
+    std::memcpy(e.mem_data + offset, src, chunk);
     e.mem_valid = true;
     e.lost = false;
     e.last_writer = kInvalidNode;
@@ -394,9 +392,9 @@ Status Machine::SnoopRead(Addr addr, void* out, size_t len) const {
     if (e == nullptr) {
       std::memset(dst, 0, chunk);  // never-touched memory reads as zero
     } else {
-      const std::vector<uint8_t>* data = CurrentData(*e, line);
+      const uint8_t* data = CurrentData(*e, line);
       if (data == nullptr) return Status::LineLost("snoop of lost line");
-      std::memcpy(dst, data->data() + offset, chunk);
+      std::memcpy(dst, data + offset, chunk);
     }
     dst += chunk;
     addr += chunk;
@@ -435,7 +433,7 @@ void Machine::CrashNode(NodeId node) {
     }
     if (e.home == node) {
       e.mem_valid = false;
-      std::fill(e.mem_data.begin(), e.mem_data.end(), 0);
+      std::memset(e.mem_data, 0, config_.line_size);
     }
     bool home_alive = e.home < config_.num_nodes && alive_[e.home];
     if (!e.lost && e.sharers == 0 && !(e.mem_valid && home_alive)) {
@@ -477,7 +475,7 @@ void Machine::RebootAll() {
     e.sharers = 0;
     e.owner = kInvalidNode;
     e.mem_valid = false;
-    std::fill(e.mem_data.begin(), e.mem_data.end(), 0);
+    std::memset(e.mem_data, 0, config_.line_size);
     if (!e.lost) {
       e.lost = true;
       ++stats_.lines_lost;

@@ -70,7 +70,25 @@ class Machine {
   // ---------------------------------------------------------------------
   // Coherent memory operations, executed by `node`. May span lines.
 
-  Status Read(NodeId node, Addr addr, void* out, size_t len);
+  Status Read(NodeId node, Addr addr, void* out, size_t len) {
+    // Inlined hit path: a single-line read that hits in `node`'s own cache
+    // does exactly what ReadLine's hit branch does. Everything else (a
+    // miss, a lost line, a crashed node, a multi-line span, len == 0)
+    // takes ReadSlow.
+    const uint32_t offset = static_cast<uint32_t>(addr % config_.line_size);
+    if (len != 0 && offset + len <= config_.line_size && alive_[node]) {
+      const LineAddr line = LineOf(addr);
+      const DirEntry* e = directory_.Find(line);
+      if (e != nullptr && !e->lost && e->cached_by(node)) {
+        ++stats_.reads;
+        ++stats_.local_hits;
+        Tick(node, config_.timing.cache_hit_ns);
+        std::memcpy(out, caches_[node].Find(line)->data + offset, len);
+        return Status::Ok();
+      }
+    }
+    return ReadSlow(node, addr, out, len);
+  }
   Status Write(NodeId node, Addr addr, const void* data, size_t len);
 
   template <typename T>
@@ -203,10 +221,13 @@ class Machine {
   void set_profiler(Profiler* prof) { prof_ = prof; }
 
  private:
+  /// Read's general path: any span, one ReadLine per covered line.
+  Status ReadSlow(NodeId node, Addr addr, void* out, size_t len);
+
   /// Makes `line` valid in `node`'s cache for reading; performs coherence
   /// transitions and charges costs. On success *data points at the node's
   /// cached copy.
-  Status ReadLine(NodeId node, LineAddr line, const std::vector<uint8_t>** data);
+  Status ReadLine(NodeId node, LineAddr line, const uint8_t** data);
 
   /// Makes `node` the exclusive holder of `line` with current contents
   /// (write-invalidate) and returns a mutable pointer to the cached copy.
@@ -219,13 +240,16 @@ class Machine {
 
   /// Returns a pointer to the authoritative current bytes of `line`, or
   /// nullptr if the line is lost.
-  const std::vector<uint8_t>* CurrentData(const DirEntry& e, LineAddr line) const;
+  const uint8_t* CurrentData(const DirEntry& e, LineAddr line) const;
 
   void FireCoherence(CoherenceEvent::Kind kind, LineAddr line, NodeId from,
                      NodeId to, bool active_bit);
 
+  /// The directory entry for `line`, created (and its home computed) on
+  /// first touch.
   DirEntry& Entry(LineAddr line) {
-    return directory_.GetOrCreate(line, HomeOf(line), config_.line_size);
+    if (DirEntry* e = directory_.Find(line)) return *e;
+    return directory_.Create(line, HomeOf(line));
   }
 
   MachineConfig config_;

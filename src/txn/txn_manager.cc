@@ -574,6 +574,8 @@ Status TxnManager::Abort(Transaction* txn) {
   assert(txn->state == TxnState::kActive);
   NodeId node = txn->node();
 
+  // Head of this transaction's prev_lsn chain, walked below.
+  Lsn walk_from = txn->last_lsn;
   if (gc_ != nullptr) {
     // Withdraw a pending group commit before undoing anything. Once the
     // commit record is durable the transaction is committed — its log
@@ -584,25 +586,35 @@ Status TxnManager::Abort(Transaction* txn) {
         return Status::InvalidArgument("cannot abort: commit already durable");
       }
       gc_->DropCommit(txn->id);
-      // The withdrawn record leaves an LSN gap and txn->last_lsn keeps
-      // pointing at it; both are harmless — redo is USN-guarded and no
-      // recovery scan follows prev_lsn chains or requires contiguity.
+      // The withdrawn record leaves an LSN gap, and txn->last_lsn keeps
+      // pointing at it. Redo is USN-guarded and needs no contiguity; the
+      // chain walk below starts from the record's prev_lsn, read before
+      // annulling (the pending commit is the chain's head).
+      assert(txn->last_lsn == pending);
+      const LogRecord* commit = log_->Find(node, pending);
+      assert(commit != nullptr);
+      walk_from = commit->prev_lsn;
       log_->AnnulVolatile(node, pending);
     }
   }
 
-  // Collect this transaction's loggable operations from its own (intact)
-  // log: durable prefix plus volatile tail.
+  // Collect this transaction's loggable operations by walking its prev_lsn
+  // chain through its own (intact) log, newest first: O(own records), not
+  // O(log). The walk ends at the Begin record, whose prev_lsn is invalid.
   std::vector<LogRecord> ops;
-  log_->ForEachAll(node, [&](const LogRecord& rec) {
-    if (rec.txn != txn->id) return;
-    if (rec.type == LogRecordType::kUpdate && !rec.update().is_clr) {
-      ops.push_back(rec);
-    } else if (rec.type == LogRecordType::kIndexOp &&
-               !rec.index_op().is_clr) {
-      ops.push_back(rec);
+  for (Lsn lsn = walk_from; lsn != kInvalidLsn;) {
+    const LogRecord* rec = log_->Find(node, lsn);
+    if (rec == nullptr) break;
+    if (rec->txn == txn->id &&
+        ((rec->type == LogRecordType::kUpdate && !rec->update().is_clr) ||
+         (rec->type == LogRecordType::kIndexOp &&
+          !rec->index_op().is_clr))) {
+      ops.push_back(*rec);
     }
-  });
+    lsn = rec->prev_lsn;
+  }
+  // LSN order, as the touch hooks and the reverse-order undo expect.
+  std::reverse(ops.begin(), ops.end());
   // During on-demand recovery, discharge lazy obligations on every object
   // this rollback will touch, so the undo's before-images land on fully
   // recovered state.

@@ -1,5 +1,7 @@
 #include "wal/log_manager.h"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "obs/trace.h"
@@ -29,7 +31,7 @@ LogManager::LogManager(Machine* machine, StableLogStore* stable)
 
 Lsn LogManager::Append(NodeId node, LogRecord rec) {
   ProfScope wal_append(prof_, ProfPhase::kWalAppend);
-  const TxnId txn = rec.txn;
+  [[maybe_unused]] const TxnId txn = rec.txn;
   const Lsn lsn = next_lsn_[node]++;
   rec.lsn = lsn;
   rec.node = node;
@@ -60,7 +62,8 @@ Status LogManager::Force(NodeId requestor, NodeId node) {
     machine_->Tick(requestor, machine_->config().nvram_log
                                   ? timing.nvram_force_ns
                                   : timing.log_force_ns);
-    std::vector<LogRecord> batch(tail.begin(), tail.end());
+    std::vector<LogRecord> batch(std::make_move_iterator(tail.begin()),
+                                 std::make_move_iterator(tail.end()));
     tail.clear();
     stable_->Append(node, std::move(batch));
     SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogForce,
@@ -84,6 +87,19 @@ void LogManager::AnnulVolatile(NodeId node, Lsn lsn) {
       return;
     }
   }
+}
+
+const LogRecord* LogManager::Find(NodeId node, Lsn lsn) const {
+  // Both halves of the log are LSN-ordered (the tail may have annul gaps),
+  // and every stable LSN precedes every tail LSN.
+  auto find_in = [lsn](const auto& records) -> const LogRecord* {
+    auto it = std::lower_bound(
+        records.begin(), records.end(), lsn,
+        [](const LogRecord& rec, Lsn l) { return rec.lsn < l; });
+    return it != records.end() && it->lsn == lsn ? &*it : nullptr;
+  };
+  if (lsn <= stable_->LastLsn(node)) return find_in(stable_->Records(node));
+  return find_in(tails_[node]);
 }
 
 bool LogManager::IsStable(NodeId node, Lsn lsn) const {

@@ -127,9 +127,18 @@ class LogManager {
   /// Removes the record at `lsn` from `node`'s volatile tail (a withdrawn
   /// group commit: the transaction aborts before its commit record was
   /// forced). No-op if the record already left the tail. The resulting LSN
-  /// gap is harmless — redo is USN-guarded and every recovery scan is
-  /// keyed by transaction and record type, never by LSN contiguity.
+  /// gap is harmless — redo is USN-guarded, every recovery scan is keyed by
+  /// transaction and record type, and the one prev_lsn walk
+  /// (TxnManager::Abort) starts below the annulled record, from the
+  /// prev_lsn it read before annulling.
   void AnnulVolatile(NodeId node, Lsn lsn);
+
+  /// The record with LSN `lsn` in `node`'s log — retained stable suffix or
+  /// volatile tail — or nullptr if it is not there: truncated, annulled,
+  /// lost with a crashed node's tail, or never assigned. O(log n) (binary
+  /// search in whichever half holds `lsn`). The pointer is valid until the
+  /// next Append, Force, AnnulVolatile, TruncateThrough or crash of `node`.
+  const LogRecord* Find(NodeId node, Lsn lsn) const;
 
   /// True if `node`'s log is stable through `lsn`.
   bool IsStable(NodeId node, Lsn lsn) const;

@@ -146,6 +146,57 @@ TEST(GroupCommitTest, AbortWithdrawsVolatilePendingCommit) {
   EXPECT_TRUE(fx.checker.VerifyAll().ok());
 }
 
+TEST(GroupCommitTest, AbortOfWithdrawnCommitUndoesEveryUpdateAndIndexOp) {
+  GcFx fx(GcFx::GroupedVolatile());
+  // Committed setup: key 5 -> table[0].
+  Transaction* setup = fx.db.txn().Begin(0);
+  ASSERT_TRUE(fx.db.txn().IndexInsert(setup, 5, fx.table[0]).ok());
+  ASSERT_TRUE(fx.db.txn().Commit(setup).IsBusy());
+  ASSERT_TRUE(fx.db.log().Force(0, 0).ok());
+  ASSERT_TRUE(fx.db.txn().PollCommit(setup).ok());
+
+  // The victim's records straddle the stable/volatile boundary, and its
+  // prev_lsn chain ends in the commit record the abort withdraws.
+  Transaction* t = fx.db.txn().Begin(1);
+  ASSERT_TRUE(fx.db.txn().Update(t, fx.table[1], Value(0xB1)).ok());
+  ASSERT_TRUE(fx.db.txn().IndexDelete(t, 5).ok());
+  ASSERT_TRUE(fx.db.log().Force(1, 1).ok());
+  ASSERT_TRUE(fx.db.txn().Update(t, fx.table[2], Value(0xB2)).ok());
+  ASSERT_TRUE(fx.db.txn().IndexInsert(t, 9, fx.table[3]).ok());
+  ASSERT_TRUE(fx.db.txn().Update(t, fx.table[1], Value(0xB3)).ok());
+  ASSERT_TRUE(fx.db.txn().Commit(t).IsBusy());
+  ASSERT_TRUE(fx.db.txn().Abort(t).ok());
+  EXPECT_EQ(t->state, TxnState::kAborted);
+
+  for (RecordId r : {fx.table[1], fx.table[2]}) {
+    auto slot = fx.db.records().SnoopSlot(r);
+    ASSERT_TRUE(slot.ok());
+    EXPECT_EQ(slot->data, Value(0)) << ToString(r);
+  }
+  auto l5 = fx.db.index().Lookup(0, 5);
+  ASSERT_TRUE(l5.ok());
+  ASSERT_TRUE(l5->has_value());  // the delete was undone
+  EXPECT_EQ(**l5, fx.table[0]);
+  auto l9 = fx.db.index().Lookup(0, 9);
+  ASSERT_TRUE(l9.ok());
+  EXPECT_FALSE(l9->has_value());  // the insert was undone
+  // One compensation per undone update and per undone index op.
+  int update_clrs = 0;
+  int index_clrs = 0;
+  fx.db.log().ForEachAll(1, [&](const LogRecord& rec) {
+    if (rec.txn != t->id) return;
+    if (rec.type == LogRecordType::kUpdate && rec.update().is_clr) {
+      ++update_clrs;
+    }
+    if (rec.type == LogRecordType::kIndexOp && rec.index_op().is_clr) {
+      ++index_clrs;
+    }
+  });
+  EXPECT_EQ(update_clrs, 3);
+  EXPECT_EQ(index_clrs, 2);
+  EXPECT_TRUE(fx.checker.VerifyAll().ok());
+}
+
 TEST(GroupCommitTest, AbortRefusedOnceCommitIsDurable) {
   GcFx fx(GcFx::GroupedVolatile());
   Transaction* t = fx.db.txn().Begin(1);

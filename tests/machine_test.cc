@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "sim/cache.h"
 #include "sim/config.h"
+#include "sim/directory.h"
 
 namespace smdb {
 namespace {
@@ -259,6 +264,172 @@ TEST(MachineTest, AllocLocalHomesOnNode) {
   for (uint32_t i = 0; i < 4096 / m.line_size(); ++i) {
     EXPECT_EQ(m.HomeOf(m.LineOf(a) + i), 2);
   }
+}
+
+TEST(MachineTest, HitPathAccountsLikeTheSlowPath) {
+  Machine m(SmallConfig());
+  Addr a = m.AllocShared(256);
+  ASSERT_TRUE(m.WriteValue<uint64_t>(1, a + 8, 0x1122334455667788ULL).ok());
+  const MachineStats before = m.stats();
+  const SimTime clock = m.NodeClock(1);
+  // A single-line local hit: one read, one hit, one cache_hit_ns.
+  auto r = m.ReadValue<uint64_t>(1, a + 8);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, 0x1122334455667788ULL);
+  EXPECT_EQ(m.stats().reads, before.reads + 1);
+  EXPECT_EQ(m.stats().local_hits, before.local_hits + 1);
+  EXPECT_EQ(m.NodeClock(1), clock + m.config().timing.cache_hit_ns);
+  // A read spanning two lines (one hit, one miss) counts one read.
+  uint8_t buf[16];
+  ASSERT_TRUE(m.Read(1, a + 120, buf, sizeof(buf)).ok());
+  EXPECT_EQ(m.stats().reads, before.reads + 2);
+  EXPECT_EQ(m.stats().local_hits, before.local_hits + 2);
+  // A zero-length read counts a read but touches no line.
+  ASSERT_TRUE(m.Read(1, a + 200, buf, 0).ok());
+  EXPECT_EQ(m.stats().reads, before.reads + 3);
+  EXPECT_EQ(m.stats().local_hits, before.local_hits + 2);
+}
+
+TEST(MachineTest, NeverTouchedLinesHaveNoEntry) {
+  Machine m(SmallConfig());
+  Addr a = m.AllocShared(512);
+  LineAddr touched = m.LineOf(a);
+  LineAddr untouched = touched + 2;
+  ASSERT_TRUE(m.WriteValue<uint32_t>(1, a, 1).ok());
+  EXPECT_NE(m.FindLine(touched), nullptr);
+  EXPECT_EQ(m.FindLine(untouched), nullptr);
+  EXPECT_EQ(m.FindLine(untouched + 1000000), nullptr);  // past any index
+  EXPECT_EQ(m.cache(1).Find(untouched), nullptr);
+  EXPECT_FALSE(m.ProbeLine(untouched));
+  // A crash marks only created lines lost; untouched lines stay absent.
+  m.CrashNode(1);
+  EXPECT_EQ(m.stats().lines_lost, 1u);
+  EXPECT_TRUE(m.IsLineLost(touched));
+  EXPECT_FALSE(m.IsLineLost(untouched));
+  EXPECT_EQ(m.FindLine(untouched), nullptr);
+  m.DiscardLine(untouched);  // no-op on a never-touched line
+  EXPECT_EQ(m.FindLine(untouched), nullptr);
+}
+
+TEST(MachineTest, EntriesStayPutAcrossLaterLines) {
+  Machine m(SmallConfig());
+  Addr a = m.AllocShared(128);
+  ASSERT_TRUE(m.WriteValue<uint32_t>(0, a, 42).ok());
+  const DirEntry* e = m.FindLine(m.LineOf(a));
+  const Cache::Entry* ce = m.cache(0).Find(m.LineOf(a));
+  ASSERT_NE(e, nullptr);
+  ASSERT_NE(ce, nullptr);
+  const uint8_t* data = ce->data;
+  // Create thousands of other lines, on every node.
+  Addr more = m.AllocShared(5000 * 128);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(m.WriteValue<uint32_t>(NodeId(i % 4), more + i * 128, i).ok());
+  }
+  EXPECT_EQ(m.FindLine(m.LineOf(a)), e);
+  EXPECT_EQ(m.cache(0).Find(m.LineOf(a)), ce);
+  EXPECT_EQ(ce->data, data);
+  EXPECT_EQ(e->owner, 0);
+  uint32_t v = 0;
+  std::memcpy(&v, data, sizeof(v));
+  EXPECT_EQ(v, 42u);
+}
+
+TEST(LineStorageTest, CacheFindIsNullUntilInserted) {
+  Cache c(64);
+  EXPECT_EQ(c.Find(0), nullptr);
+  EXPECT_EQ(c.Find(7), nullptr);
+  EXPECT_EQ(c.Find(kInvalidLine), nullptr);
+  std::vector<uint8_t> bytes(64, 0xAB);
+  c.Insert(7, LineState::kShared, bytes.data());
+  EXPECT_EQ(c.Find(6), nullptr);
+  ASSERT_NE(c.Find(7), nullptr);
+  EXPECT_EQ(c.Find(7)->state, LineState::kShared);
+  EXPECT_EQ(c.Find(7)->data[63], 0xAB);
+  c.Erase(7);
+  EXPECT_EQ(c.Find(7), nullptr);
+  EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(LineStorageTest, CacheReferencesStayValidAcrossInserts) {
+  Cache c(128);
+  std::vector<uint8_t> bytes(128, 1);
+  Cache::Entry* first = &c.Insert(3, LineState::kExclusive, bytes.data());
+  uint8_t* first_data = first->data;
+  for (LineAddr l = 4; l < 3000; ++l) {
+    bytes[0] = uint8_t(l);
+    c.Insert(l, LineState::kShared, bytes.data());
+  }
+  EXPECT_EQ(c.Find(3), first);
+  EXPECT_EQ(first->data, first_data);
+  EXPECT_EQ(first->state, LineState::kExclusive);
+  EXPECT_EQ(first_data[0], 1);
+  // Re-inserting a resident line from its own bytes keeps them.
+  c.Insert(3, LineState::kShared, first->data);
+  EXPECT_EQ(c.Find(3), first);
+  EXPECT_EQ(first_data[0], 1);
+}
+
+TEST(LineStorageTest, ForEachVisitsExactlyResidentAndCreatedLines) {
+  Cache c(128);
+  std::vector<uint8_t> bytes(128, 0);
+  for (LineAddr l : {5, 9, 200, 11, 64}) {
+    c.Insert(l, LineState::kShared, bytes.data());
+  }
+  c.Erase(9);
+  c.Erase(10);  // absent: no-op
+  std::vector<LineAddr> seen;
+  c.ForEachLine([&](LineAddr l, const Cache::Entry& e) {
+    EXPECT_EQ(e.state, LineState::kShared);
+    seen.push_back(l);
+  });
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<LineAddr>{5, 11, 64, 200}));
+  EXPECT_EQ(c.size(), 4u);
+
+  Directory d(128);
+  for (LineAddr l : {3, 1, 300}) d.Create(l, NodeId(l % 4));
+  std::vector<LineAddr> created;
+  d.ForEach([&](LineAddr l, DirEntry& e) {
+    EXPECT_EQ(e.home, NodeId(l % 4));
+    EXPECT_TRUE(e.mem_valid);
+    EXPECT_EQ(e.mem_data[0], 0);
+    created.push_back(l);
+  });
+  std::sort(created.begin(), created.end());
+  EXPECT_EQ(created, (std::vector<LineAddr>{1, 3, 300}));
+  EXPECT_EQ(d.size(), 3u);
+  EXPECT_EQ(d.Find(2), nullptr);
+}
+
+TEST(LineStorageTest, ClearThenReinsertReusesStorage) {
+  Cache c(128);
+  std::vector<uint8_t> bytes(128, 0);
+  std::vector<const uint8_t*> before;
+  for (LineAddr l = 0; l < 100; ++l) {
+    before.push_back(c.Insert(l, LineState::kShared, bytes.data()).data);
+  }
+  c.Clear();
+  EXPECT_EQ(c.size(), 0u);
+  for (LineAddr l = 0; l < 100; ++l) EXPECT_EQ(c.Find(l), nullptr);
+  c.ForEachLine([](LineAddr, const Cache::Entry&) { ADD_FAILURE(); });
+  // Re-insert different lines with fresh contents: every one lands in
+  // storage the cache already owned, and reads back its own bytes.
+  for (LineAddr l = 500; l < 600; ++l) {
+    bytes[0] = uint8_t(l);
+    const uint8_t* data = c.Insert(l, LineState::kExclusive, bytes.data()).data;
+    EXPECT_NE(std::find(before.begin(), before.end(), data), before.end());
+  }
+  EXPECT_EQ(c.size(), 100u);
+  for (LineAddr l = 500; l < 600; ++l) {
+    ASSERT_NE(c.Find(l), nullptr);
+    EXPECT_EQ(c.Find(l)->data[0], uint8_t(l));
+    EXPECT_EQ(c.Find(l)->state, LineState::kExclusive);
+  }
+  EXPECT_EQ(c.Find(0), nullptr);
+  // Erased slots are reused too.
+  const uint8_t* freed = c.Find(550)->data;
+  c.Erase(550);
+  EXPECT_EQ(c.Insert(9999, LineState::kShared, bytes.data()).data, freed);
 }
 
 }  // namespace

@@ -214,7 +214,9 @@ TEST(ChromeTrace, ExportIsWellFormedWithPerNodeTracks) {
     ASSERT_NE(ev.Find("name"), nullptr);
     ASSERT_NE(ev.Find("pid"), nullptr);
     ASSERT_NE(ev.Find("tid"), nullptr);
-    if (ph != "M") ASSERT_NE(ev.Find("ts"), nullptr);
+    if (ph != "M") {
+      ASSERT_NE(ev.Find("ts"), nullptr);
+    }
     if (ph == "M" && ev.GetString("name") == "thread_name") ++thread_names;
     if (ph == "X") {
       ASSERT_NE(ev.Find("dur"), nullptr);

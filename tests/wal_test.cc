@@ -166,6 +166,56 @@ TEST(LogManagerTest, ForEachAllCoversStableAndVolatile) {
   EXPECT_EQ(seen, (std::vector<Lsn>{1, 2}));
 }
 
+TEST(LogManagerTest, FindLooksUpStableSuffixAndTail) {
+  WalFixture f;
+  TxnId t = MakeTxnId(0, 1);
+  for (uint64_t i = 1; i <= 6; ++i) f.log.Append(0, f.Update(t, {1, 0}, i));
+  ASSERT_TRUE(f.log.Force(0, 0).ok());  // LSNs 1..6 stable
+  for (uint64_t i = 7; i <= 9; ++i) f.log.Append(0, f.Update(t, {1, 0}, i));
+  ASSERT_EQ(f.log.TailSize(0), 3u);     // LSNs 7..9 volatile
+  for (Lsn lsn = 1; lsn <= 9; ++lsn) {
+    const LogRecord* rec = f.log.Find(0, lsn);
+    ASSERT_NE(rec, nullptr) << "lsn " << lsn;
+    EXPECT_EQ(rec->lsn, lsn);
+    EXPECT_EQ(rec->update().usn, lsn);
+  }
+  EXPECT_EQ(f.log.Find(0, kInvalidLsn), nullptr);
+  EXPECT_EQ(f.log.Find(0, 10), nullptr);  // never assigned
+  EXPECT_EQ(f.log.Find(1, 1), nullptr);   // another node's (empty) log
+
+  // Truncated prefix: gone from the lookup; the suffix is still found.
+  ASSERT_EQ(f.log.TruncateThrough(0, 3), 3u);
+  for (Lsn lsn = 1; lsn <= 3; ++lsn) EXPECT_EQ(f.log.Find(0, lsn), nullptr);
+  ASSERT_NE(f.log.Find(0, 4), nullptr);
+  EXPECT_EQ(f.log.Find(0, 4)->lsn, 4u);
+
+  // Annulled tail record: a gap; its neighbours are still found.
+  f.log.AnnulVolatile(0, 8);
+  EXPECT_EQ(f.log.Find(0, 8), nullptr);
+  ASSERT_NE(f.log.Find(0, 7), nullptr);
+  ASSERT_NE(f.log.Find(0, 9), nullptr);
+  EXPECT_EQ(f.log.Find(0, 9)->lsn, 9u);
+
+  // A crash loses the tail; the stable suffix survives.
+  f.machine.CrashNode(0);
+  f.log.OnNodeCrash(0);
+  EXPECT_EQ(f.log.Find(0, 9), nullptr);
+  ASSERT_NE(f.log.Find(0, 6), nullptr);
+}
+
+TEST(LogManagerTest, ForceMovesRecordsIntact) {
+  WalFixture f;
+  TxnId t = MakeTxnId(0, 1);
+  f.log.Append(0, f.Update(t, {2, 5}, 11));
+  ASSERT_TRUE(f.log.Force(0, 0).ok());
+  const LogRecord* rec = f.log.Find(0, 1);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->txn, t);
+  EXPECT_EQ(rec->update().rid, (RecordId{2, 5}));
+  EXPECT_EQ(rec->update().before, std::vector<uint8_t>(4, 0));
+  EXPECT_EQ(rec->update().after, std::vector<uint8_t>(4, 1));
+}
+
 TEST(LogRecordTest, ToStringVariants) {
   LogRecord rec;
   rec.type = LogRecordType::kUpdate;

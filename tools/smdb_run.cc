@@ -73,8 +73,8 @@ void Usage() {
       "                           through-crash (default 200000)\n"
       "  --obs-top-contended=N    lock-contention profile size (default 8)\n"
       "  --profile-out=PATH       enable the execution/recovery profiler\n"
-      "                           and write its JSON export (sim-time phase\n"
-      "                           costs, sweeper solo reasons) plus\n"
+      "                           and write its JSON export (sim-time cost\n"
+      "                           per phase path: ns, ticks, samples) plus\n"
       "                           PATH.collapsed, a flamegraph.pl-compatible\n"
       "                           collapsed stack\n"
       "  --verbose                dump per-subsystem statistics\n");
