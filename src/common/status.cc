@@ -35,7 +35,11 @@ std::string Status::ToString() const {
 }
 
 std::string ToString(const RecordId& rid) {
-  return "p" + std::to_string(rid.page) + ".s" + std::to_string(rid.slot);
+  std::string out = "p";
+  out += std::to_string(rid.page);
+  out += ".s";
+  out += std::to_string(rid.slot);
+  return out;
 }
 
 }  // namespace smdb

@@ -7,15 +7,6 @@
 
 namespace smdb {
 
-namespace {
-
-uint64_t UsnOf(const LogRecord& rec) {
-  return rec.type == LogRecordType::kUpdate ? rec.update().usn
-                                            : rec.index_op().usn;
-}
-
-}  // namespace
-
 OnDemandRecovery::OnDemandRecovery(Database* db) : db_(db) {}
 
 OnDemandRecovery::~OnDemandRecovery() = default;
@@ -40,7 +31,7 @@ void OnDemandRecovery::Reset() {
   tagged_ = false;
   in_discharge_ = false;
   ctx_ = RecoveryManager::Ctx{};
-  redo_.clear();
+  redo_ = RecordList{};
   redo_done_.clear();
   undo_ = RecoveryManager::UndoWork{};
   undo_done_.clear();
@@ -62,7 +53,7 @@ void OnDemandRecovery::Reset() {
 }
 
 Status OnDemandRecovery::Activate(const RecoveryManager::Ctx& ctx,
-                                  std::vector<LogRecord> entry_redo,
+                                  RecordList entry_redo,
                                   RecoveryManager::UndoWork undo) {
   Reset();
   ctx_ = ctx;
@@ -77,6 +68,10 @@ Status OnDemandRecovery::Activate(const RecoveryManager::Ctx& ctx,
   tagged_ = db_->config().recovery.undo_tagging() &&
             restart_ == RestartKind::kSelectiveRedo;
 
+  // The lists and the analysis reference stable records in place. They
+  // stay valid while the window is open: records never move once stable,
+  // and Database::Checkpoint, the only log truncation, drains the window
+  // first. Deactivate drops them.
   redo_ = std::move(entry_redo);
   undo_ = std::move(undo);
   redo_done_.assign(redo_.size(), false);
@@ -109,28 +104,35 @@ Status OnDemandRecovery::Activate(const RecoveryManager::Ctx& ctx,
 
   if (tagged_) {
     // Stable-log USN owner map + committed-value reconstructor for the
-    // per-object tag discharge (the full deferred scan rebuilds its own).
+    // per-object tag discharge (the full deferred scan builds its own).
+    // The map comes from the recovery's analysis plus what was forced since.
+    const LogAnalysis& analysis = *ctx_.analysis;
+    auto note_owner = [&](const LogRecord& rec) {
+      if (rec.type == LogRecordType::kUpdate ||
+          rec.type == LogRecordType::kIndexOp) {
+        usn_owner_[RecordUsn(rec)] = rec.txn;
+      }
+    };
     for (NodeId n = 0; n < db_->machine().num_nodes(); ++n) {
-      db_->log().ForEachStable(n, [&](const LogRecord& rec) {
-        if (rec.type == LogRecordType::kUpdate) {
-          usn_owner_[rec.update().usn] = rec.txn;
-        } else if (rec.type == LogRecordType::kIndexOp) {
-          usn_owner_[rec.index_op().usn] = rec.txn;
-        }
+      for (const LogAnalysis::UsnRef& ref : analysis.refs(n)) {
+        note_owner(*ref.rec);
+      }
+      analysis.ForEachSince(n, [&](const LogRecord& rec, bool stable) {
+        if (stable) note_owner(rec);
       });
     }
     reconstructor_ = std::make_unique<StableStateReconstructor>(
-        &db_->machine(), &db_->log(), &db_->buffers(), &db_->records(),
-        ctx_.uncommitted_ids);
+        &db_->machine(), &db_->buffers(), &db_->records(),
+        ctx_.uncommitted_ids, analysis);
   }
 
   // Sweep order: objects by their smallest pending-obligation USN, so the
   // background drain follows the global log order.
   auto min_usn = [&](const Pending& p) {
     uint64_t lo = UINT64_MAX;
-    if (!p.redo.empty()) lo = std::min(lo, UsnOf(redo_[p.redo.front()]));
+    if (!p.redo.empty()) lo = std::min(lo, redo_.usn(p.redo.front()));
     if (!p.undo.empty()) {
-      lo = std::min(lo, UsnOf(undo_.to_undo[p.undo.back()]));
+      lo = std::min(lo, undo_.to_undo.usn(p.undo.back()));
     }
     return lo;
   };
@@ -472,6 +474,14 @@ Status OnDemandRecovery::DrainAll() {
 
 void OnDemandRecovery::Deactivate() {
   active_ = false;
+  // Once the window is closed a checkpoint may truncate the stable records
+  // these reference.
+  redo_ = RecordList{};
+  redo_done_.clear();
+  undo_ = RecoveryManager::UndoWork{};
+  undo_done_.clear();
+  reconstructor_.reset();
+  ctx_.analysis.reset();
   SMDB_OBS(db_->observatory_ptr(),
            OnRecoveryDrained(db_->machine().GlobalTime()));
 }

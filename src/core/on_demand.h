@@ -75,9 +75,9 @@ class OnDemandRecovery {
   /// Takes ownership of a crash's deferred obligations and enters the
   /// Recovering state. `entry_redo` is the full collected redo list in
   /// global-USN order (structural records were applied eagerly and are
-  /// skipped here); `undo` is the stable-log undo work.
-  Status Activate(const RecoveryManager::Ctx& ctx,
-                  std::vector<LogRecord> entry_redo,
+  /// skipped here); `undo` is the stable-log undo work. Both lists, and
+  /// `ctx`'s analysis, are kept until the window closes.
+  Status Activate(const RecoveryManager::Ctx& ctx, RecordList entry_redo,
                   RecoveryManager::UndoWork undo);
 
   /// First-touch hooks, called by TxnManager before any access to the
@@ -137,7 +137,7 @@ class OnDemandRecovery {
   /// performer state). `lazy` and `tag_scan_usn_cutoff` are pinned here.
   RecoveryManager::Ctx ctx_;
 
-  std::vector<LogRecord> redo_;  // global-USN order, entry-level only
+  RecordList redo_;  // global-USN order, entry-level only
   std::vector<bool> redo_done_;
   RecoveryManager::UndoWork undo_;
   std::vector<bool> undo_done_;

@@ -1,6 +1,7 @@
 #include "core/recovery_manager.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -81,6 +82,18 @@ void PinStreams(std::vector<NodeId>* streams, uint32_t threads,
   }
 }
 
+bool IsRedoRecord(const LogRecord& rec) {
+  return rec.type == LogRecordType::kUpdate ||
+         rec.type == LogRecordType::kIndexOp ||
+         rec.type == LogRecordType::kStructural;
+}
+
+/// A non-CLR update or index op: the records the undo pass reverses.
+bool IsUndoable(const LogRecord& rec) {
+  return (rec.type == LogRecordType::kUpdate && !rec.update().is_clr) ||
+         (rec.type == LogRecordType::kIndexOp && !rec.index_op().is_clr);
+}
+
 }  // namespace
 
 NodeId RecoveryManager::RedoPerformer(Ctx& ctx, const LogRecord& rec) {
@@ -100,16 +113,6 @@ NodeId RecoveryManager::UndoPerformer(Ctx& ctx, const LogRecord& rec) {
     return ctx.StreamPerformer(rec.update().rid.page);
   }
   return ctx.StreamPerformer(KeyPartition(rec.index_op()));
-}
-
-bool RecoveryManager::CommittedInStableLog(TxnId txn) const {
-  bool committed = false;
-  db_->log().ForEachStable(TxnNode(txn), [&](const LogRecord& rec) {
-    if (rec.txn == txn && rec.type == LogRecordType::kCommit) {
-      committed = true;
-    }
-  });
-  return committed;
 }
 
 Status RecoveryManager::BuildContext(const std::vector<NodeId>& crashed,
@@ -145,53 +148,39 @@ Status RecoveryManager::BuildContext(const std::vector<NodeId>& crashed,
       ctx->out.preserved.push_back(t->id);
     }
   }
+  // The log-analysis pass: one walk over each node's log. It keeps the
+  // surviving actives' lock-op records for the lock-table rebuild.
+  ctx->analysis = std::make_shared<const LogAnalysis>(
+      db_->log(), db_->machine(), ctx->preserved_ids);
   // Transactions visible in any stable log without a commit *or abort*
   // record are uncommitted too (e.g. an abort whose CLRs died with the
   // volatile tail). A stable Abort record implies the CLRs are stable as
   // well (log forces move the whole tail), so such transactions are fully
   // handled by the repeating-history redo pass. Every node's stable log is
-  // scanned — not just the newly-crashed ones' — because a steal flush can
+  // analysed — not just the newly-crashed ones' — because a steal flush can
   // strand an uncommitted update in the stable database long after its
   // transaction's node crashed (or crashed and restarted), and the
   // compensations a previous recovery wrote for it are themselves volatile
-  // until flushed or forced.
-  for (NodeId c = 0; c < db_->machine().num_nodes(); ++c) {
-    std::set<TxnId> begun, finished;
-    db_->log().ForEachStable(c, [&](const LogRecord& rec) {
-      if (rec.txn == kInvalidTxn) return;
-      if (rec.type == LogRecordType::kCommit ||
-          rec.type == LogRecordType::kAbort) {
-        finished.insert(rec.txn);
-      } else {
-        begun.insert(rec.txn);
-      }
-    });
-    std::set<TxnId> tail_finished;
-    if (db_->machine().NodeAlive(c)) {
-      // A live node's volatile tail is intact and authoritative: an abort
-      // record there means the rollback already ran on this node's own log.
-      // (A volatile-only *commit* is a pending group commit — unacknowledged
-      // by construction, and excluding it from the uncommitted set here is
-      // right: its node is alive, nothing needs redoing or undoing, and it
-      // completes when its batch is forced after recovery.) Without
-      // this, a normally-aborted transaction whose pre-abort updates were
-      // forced stable would be re-flagged and re-undone on every recovery.
-      // RebootAll destroys these tails, so the exclusions are recorded in
-      // volatile_finished and revoked there.
-      db_->log().ForEachAll(c, [&](const LogRecord& rec) {
-        if (rec.type == LogRecordType::kCommit ||
-            rec.type == LogRecordType::kAbort) {
-          tail_finished.insert(rec.txn);
-        }
-      });
-    }
-    for (TxnId t : begun) {
-      if (finished.contains(t)) continue;
-      if (tail_finished.contains(t)) {
-        ctx->volatile_finished.insert(t);
-      } else {
-        ctx->uncommitted_ids.insert(t);
-      }
+  // until flushed or forced. Each log is judged on its own: a transaction
+  // with records in several logs counts as uncommitted if any one of them
+  // has begun it without finishing it.
+  //
+  // A live node's volatile tail is intact and authoritative: an abort
+  // record there means the rollback already ran on this node's own log.
+  // (A volatile-only *commit* is a pending group commit — unacknowledged by
+  // construction, and excluding it from the uncommitted set here is right:
+  // its node is alive, nothing needs redoing or undoing, and it completes
+  // when its batch is forced after recovery.) Without this, a
+  // normally-aborted transaction whose pre-abort updates were forced stable
+  // would be re-flagged and re-undone on every recovery. RebootAll destroys
+  // these tails, so the exclusions are recorded in volatile_finished and
+  // revoked there.
+  for (const LogAnalysis::TxnFacts& f : ctx->analysis->txns()) {
+    if (!f.begun || f.finished) continue;
+    if (f.finished_in_tail) {
+      ctx->volatile_finished.insert(f.txn);
+    } else {
+      ctx->uncommitted_ids.insert(f.txn);
     }
   }
   return Status::Ok();
@@ -308,62 +297,51 @@ Status RecoveryManager::ApplyRedoStructural(Ctx& ctx, NodeId performer,
 }
 
 Status RecoveryManager::ReplayLogsWithGuard(Ctx& ctx) {
-  std::vector<LogRecord> records;
-  SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
+  RecordList records;
+  CollectRedoRecords(ctx, &records);
   return ApplyRedoRecords(ctx, records);
 }
 
-Status RecoveryManager::CollectRedoRecords(std::vector<LogRecord>* out) {
-  Machine& m = db_->machine();
+void RecoveryManager::CollectRedoRecords(const Ctx& ctx, RecordList* out) {
   // Gather the redo-relevant records from every reachable log, then apply
   // them in global USN order. Record updates are order-free under the USN
   // guard (each carries the full after-image), but logical index operations
   // are not: a delete replayed before the insert it follows would be
   // dropped. Strict 2PL makes USN order consistent with the original
   // execution order on every object, so a single sorted pass repeats
-  // history exactly. Log scans are pure host-side reads.
-  std::vector<LogRecord>& records = *out;
-  for (NodeId n = 0; n < m.num_nodes(); ++n) {
-    Lsn start = db_->log().checkpoint_lsn(n);
-    auto visit = [&](const LogRecord& rec) {
-      if (rec.lsn <= start && start != kInvalidLsn) return;
-      if (rec.type == LogRecordType::kUpdate ||
-          rec.type == LogRecordType::kIndexOp ||
-          rec.type == LogRecordType::kStructural) {
-        records.push_back(rec);
-      }
+  // history exactly. The stable records come from the analysis by
+  // reference; only the live tails are copied.
+  const LogAnalysis& analysis = *ctx.analysis;
+  for (NodeId n = 0; n < db_->machine().num_nodes(); ++n) {
+    const Lsn start = db_->log().checkpoint_lsn(n);
+    auto replayed = [start](const LogRecord& rec) {
+      return start == kInvalidLsn || rec.lsn > start;
     };
-    if (m.NodeAlive(n)) {
-      db_->log().ForEachAll(n, visit);
-    } else {
-      db_->log().ForEachStable(n, visit);
+    for (const LogAnalysis::UsnRef& ref : analysis.refs(n)) {
+      if (replayed(*ref.rec)) out->Add(*ref.rec);
     }
+    analysis.ForEachSince(n, [&](const LogRecord& rec, bool stable) {
+      if (!IsRedoRecord(rec) || !replayed(rec)) return;
+      if (stable) {
+        out->Add(rec);
+      } else {
+        out->AddCopy(rec);
+      }
+    });
   }
-  auto usn_of = [](const LogRecord& rec) {
-    switch (rec.type) {
-      case LogRecordType::kUpdate: return rec.update().usn;
-      case LogRecordType::kIndexOp: return rec.index_op().usn;
-      default: return rec.structural().usn;
-    }
-  };
   // USNs are globally unique, so this order is total and deterministic.
-  std::sort(records.begin(), records.end(),
-            [&](const LogRecord& a, const LogRecord& b) {
-              return usn_of(a) < usn_of(b);
-            });
-  return Status::Ok();
+  out->SortByUsn(/*descending=*/false);
 }
 
-Status RecoveryManager::ApplyRedoRecords(Ctx& ctx,
-                                         const std::vector<LogRecord>& records) {
+Status RecoveryManager::ApplyRedoRecords(Ctx& ctx, const RecordList& records) {
   // Structural changes first: index redo descends the tree, so the tree's
   // routing structure must be re-established before any entry-level record
   // is replayed (a reloaded pre-split root routes into garbage). The
   // Page-LSN and entry-USN guards make the two-phase order equivalent to a
   // strict USN-ordered replay.
-  for (const LogRecord& rec : records) {
-    if (rec.type != LogRecordType::kStructural) continue;
-    SMDB_RETURN_IF_ERROR(ApplyRedoStructural(ctx, ctx.NextSurvivor(), rec));
+  for (const RecordList::Entry& e : records.entries()) {
+    if (e.rec->type != LogRecordType::kStructural) continue;
+    SMDB_RETURN_IF_ERROR(ApplyRedoStructural(ctx, ctx.NextSurvivor(), *e.rec));
   }
   // On-demand prefix: entry-level records are discharged lazily (first
   // touch or sweep), in this same global-USN order for whatever remains at
@@ -374,7 +352,8 @@ Status RecoveryManager::ApplyRedoRecords(Ctx& ctx,
   // *when*): same-page records replay in USN order by construction, and the
   // applied/skipped decisions — which depend only on coherent page state,
   // not on the performer — are identical across worker counts.
-  for (const LogRecord& rec : records) {
+  for (const RecordList::Entry& e : records.entries()) {
+    const LogRecord& rec = *e.rec;
     if (rec.type == LogRecordType::kStructural) continue;
     NodeId performer = RedoPerformer(ctx, rec);
     if (rec.type == LogRecordType::kUpdate) {
@@ -388,8 +367,8 @@ Status RecoveryManager::ApplyRedoRecords(Ctx& ctx,
 
 Status RecoveryManager::UndoCrashedFromStableLogs(Ctx& ctx) {
   UndoWork work;
-  SMDB_RETURN_IF_ERROR(CollectUndoWork(ctx, &work));
-  const std::vector<LogRecord>& to_undo = work.to_undo;
+  CollectUndoWork(ctx, &work);
+  const RecordList& to_undo = work.to_undo;
   const auto& clr_slots = work.clr_slots;
   const auto& clr_keys = work.clr_keys;
 
@@ -406,7 +385,8 @@ Status RecoveryManager::UndoCrashedFromStableLogs(Ctx& ctx) {
   TxnManager::UndoEngagement eng;
   std::set<RecordId> seeded_rids;
   std::set<std::pair<uint32_t, uint64_t>> seeded_keys;
-  for (const LogRecord& rec : to_undo) {
+  for (const RecordList::Entry& e : to_undo.entries()) {
+    const LogRecord& rec = *e.rec;
     if (rec.type == LogRecordType::kUpdate) {
       RecordId rid = rec.update().rid;
       if (!seeded_rids.insert(rid).second) continue;
@@ -435,7 +415,8 @@ Status RecoveryManager::UndoCrashedFromStableLogs(Ctx& ctx) {
   // thread-count-invariant. Partitioning changes only the performer, which
   // only affects performance state (clocks, cache residency, CLR log
   // placement).
-  for (const LogRecord& rec : to_undo) {
+  for (const RecordList::Entry& e : to_undo.entries()) {
+    const LogRecord& rec = *e.rec;
     NodeId performer = UndoPerformer(ctx, rec);
     if (rec.type == LogRecordType::kUpdate) {
       SMDB_RETURN_IF_ERROR(db_->txn().ApplyUndoUpdate(performer, rec, &eng));
@@ -447,7 +428,7 @@ Status RecoveryManager::UndoCrashedFromStableLogs(Ctx& ctx) {
   return Status::Ok();
 }
 
-Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
+void RecoveryManager::CollectUndoWork(const Ctx& ctx, UndoWork* out) {
   // Collect every non-CLR update/index record of uncommitted dead
   // transactions from every stable log, to undo in reverse USN order.
   // Surviving active transactions are excluded — their (stolen) updates are
@@ -456,29 +437,27 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   // engagement guard in ApplyUndo* turns already-compensated records into
   // no-ops, so re-undoing is safe. USNs are globally unique, so the
   // reverse-USN sort below gives one deterministic undo schedule.
-  std::vector<LogRecord> to_undo;
-  for (NodeId c = 0; c < db_->machine().num_nodes(); ++c) {
-    db_->log().ForEachStable(c, [&](const LogRecord& rec) {
-      if (!ctx.uncommitted_ids.contains(rec.txn)) return;
-      if (ctx.preserved_ids.contains(rec.txn)) return;
-      if (rec.type == LogRecordType::kUpdate && !rec.update().is_clr) {
-        to_undo.push_back(rec);
-      } else if (rec.type == LogRecordType::kIndexOp &&
-                 !rec.index_op().is_clr) {
-        to_undo.push_back(rec);
+  const LogAnalysis& analysis = *ctx.analysis;
+  const auto& facts = analysis.txns();
+  auto undone = [&](TxnId t) {
+    return ctx.uncommitted_ids.contains(t) && !ctx.preserved_ids.contains(t);
+  };
+  // Per analysed (log, transaction) pair: does the undo pass take it?
+  std::vector<bool> mark(facts.size());
+  for (size_t i = 0; i < facts.size(); ++i) mark[i] = undone(facts[i].txn);
+  RecordList& to_undo = out->to_undo;
+  for (NodeId n = 0; n < db_->machine().num_nodes(); ++n) {
+    for (const LogAnalysis::UsnRef& ref : analysis.refs(n)) {
+      if (ref.facts != LogAnalysis::kNoTxn && mark[ref.facts] &&
+          IsUndoable(*ref.rec)) {
+        to_undo.Add(*ref.rec);
       }
+    }
+    analysis.ForEachSince(n, [&](const LogRecord& rec, bool stable) {
+      if (stable && IsUndoable(rec) && undone(rec.txn)) to_undo.Add(rec);
     });
   }
-  std::sort(to_undo.begin(), to_undo.end(),
-            [](const LogRecord& a, const LogRecord& b) {
-              uint64_t ua = a.type == LogRecordType::kUpdate
-                                ? a.update().usn
-                                : a.index_op().usn;
-              uint64_t ub = b.type == LogRecordType::kUpdate
-                                ? b.update().usn
-                                : b.index_op().usn;
-              return ua > ub;  // reverse order
-            });
+  to_undo.SortByUsn(/*descending=*/true);
 
   // A previous recovery's compensation chain for one of these transactions
   // can be split across several performers' logs (the undo pass round-robins
@@ -491,27 +470,31 @@ Status RecoveryManager::CollectUndoWork(Ctx& ctx, UndoWork* out) {
   // transaction's chain. Re-undoing an already-compensated record is value-
   // safe — the chain re-converges to the oldest before image.
   std::set<TxnId> undo_txns;
-  for (const LogRecord& rec : to_undo) undo_txns.insert(rec.txn);
-  Machine& m = db_->machine();
-  for (NodeId n = 0; n < m.num_nodes(); ++n) {
-    auto visit = [&](const LogRecord& rec) {
-      if (!undo_txns.contains(rec.txn)) return;
-      if (rec.type == LogRecordType::kUpdate && rec.update().is_clr) {
-        out->clr_slots[rec.update().usn] = {rec.txn, rec.update().rid};
-      } else if (rec.type == LogRecordType::kIndexOp &&
-                 rec.index_op().is_clr) {
-        const IndexOpPayload& op = rec.index_op();
-        out->clr_keys[op.usn] = {rec.txn, {op.tree_id, op.key}};
-      }
-    };
-    if (m.NodeAlive(n)) {
-      db_->log().ForEachAll(n, visit);
-    } else {
-      db_->log().ForEachStable(n, visit);
-    }
+  for (const RecordList::Entry& e : to_undo.entries()) {
+    undo_txns.insert(e.rec->txn);
   }
-  out->to_undo = std::move(to_undo);
-  return Status::Ok();
+  for (size_t i = 0; i < facts.size(); ++i) {
+    mark[i] = undo_txns.contains(facts[i].txn);
+  }
+  auto note_clr = [&](const LogRecord& rec) {
+    if (rec.type == LogRecordType::kUpdate && rec.update().is_clr) {
+      out->clr_slots[rec.update().usn] = {rec.txn, rec.update().rid};
+    } else if (rec.type == LogRecordType::kIndexOp &&
+               rec.index_op().is_clr) {
+      const IndexOpPayload& op = rec.index_op();
+      out->clr_keys[op.usn] = {rec.txn, {op.tree_id, op.key}};
+    }
+  };
+  for (NodeId n = 0; n < db_->machine().num_nodes(); ++n) {
+    for (const LogAnalysis::UsnRef& ref : analysis.refs(n)) {
+      if (ref.facts != LogAnalysis::kNoTxn && mark[ref.facts]) {
+        note_clr(*ref.rec);
+      }
+    }
+    analysis.ForEachSince(n, [&](const LogRecord& rec, bool) {
+      if (undo_txns.contains(rec.txn)) note_clr(rec);
+    });
+  }
 }
 
 Status RecoveryManager::TagScanUndo(Ctx& ctx) {
@@ -519,25 +502,33 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   RecordStore& rs = db_->records();
   BTree& index = db_->index();
 
-  StableStateReconstructor reconstructor(&m, &db_->log(), &db_->buffers(),
-                                         &rs, ctx.uncommitted_ids);
+  // A deferred (on-demand) scan runs on the recovery's analysis too: the
+  // window keeps it, and ForEachSince covers what was logged since.
+  const LogAnalysis& analysis = *ctx.analysis;
+  StableStateReconstructor reconstructor(&m, &db_->buffers(), &rs,
+                                         ctx.uncommitted_ids, analysis);
 
-  // Map USN -> owning txn from every stable log, to distinguish "tag stale
-  // because the commit beat the tag-clear" from "uncommitted".
-  std::unordered_map<uint64_t, TxnId> usn_owner;
+  // USN -> owning txn over every stable log, to distinguish "tag stale
+  // because the commit beat the tag-clear" from "uncommitted": the
+  // analysed records, plus those forced since, taken now (the scan below
+  // can fire forces of its own).
+  std::unordered_map<uint64_t, TxnId> forced_owner;
   for (NodeId c = 0; c < m.num_nodes(); ++c) {
-    db_->log().ForEachStable(c, [&](const LogRecord& rec) {
-      if (rec.type == LogRecordType::kUpdate) {
-        usn_owner[rec.update().usn] = rec.txn;
-      } else if (rec.type == LogRecordType::kIndexOp) {
-        usn_owner[rec.index_op().usn] = rec.txn;
+    analysis.ForEachSince(c, [&](const LogRecord& rec, bool stable) {
+      if (stable && (rec.type == LogRecordType::kUpdate ||
+                     rec.type == LogRecordType::kIndexOp)) {
+        forced_owner[RecordUsn(rec)] = rec.txn;
       }
     });
   }
+  auto usn_owner = [&](uint64_t usn) -> std::optional<TxnId> {
+    auto it = forced_owner.find(usn);
+    if (it != forced_owner.end()) return it->second;
+    return analysis.OwnerOf(usn);
+  };
   auto stale_committed_tag = [&](uint64_t usn, NodeId tagged) {
-    auto it = usn_owner.find(usn);
-    if (it != usn_owner.end()) {
-      return !ctx.uncommitted_ids.contains(it->second);
+    if (std::optional<TxnId> owner = usn_owner(usn)) {
+      return !ctx.uncommitted_ids.contains(*owner);
     }
     // Not in any stable log. A tagged USN was appended to the tagged node's
     // own log, which is USN-monotone in LSN order: at or below that node's
@@ -636,8 +627,7 @@ Status RecoveryManager::TagScanUndo(Ctx& ctx) {
   // Owning transaction of a tagged USN, for the tag-decision trace (and
   // forensics); kInvalidTxn when the record only ever lived in a lost tail.
   [[maybe_unused]] auto owner_of = [&](uint64_t usn) {
-    auto it = usn_owner.find(usn);
-    return it != usn_owner.end() ? it->second : kInvalidTxn;
+    return usn_owner(usn).value_or(kInvalidTxn);
   };
   for (const HeapCand& c : heap_cands) {
     NodeId p = heap_performer(c);
@@ -761,12 +751,12 @@ Status RecoveryManager::RecoverLockTable(Ctx& ctx) {
   for (Transaction* t : ctx.surviving_active) surviving_ids.insert(t->id);
 
   // Fold each survivor's lock-op records in survivor order — the fold is
-  // order-sensitive (acquire/queue/release replay).
+  // order-sensitive (acquire/queue/release replay). The analysis kept the
+  // surviving actives' stable ones; the rest are read from the logs now.
+  const LogAnalysis& analysis = *ctx.analysis;
   for (NodeId s : ctx.survivors) {
     if (ctx.dead_set.contains(s)) continue;
-    db_->log().ForEachAll(s, [&](const LogRecord& rec) {
-      if (rec.type != LogRecordType::kLockOp) return;
-      if (!surviving_ids.contains(rec.txn)) return;
+    auto fold = [&](const LogRecord& rec) {
       const LockOpPayload& op = rec.lock_op();
       Lcb& lcb = folded[op.lock_name];
       lcb.name = op.lock_name;
@@ -792,6 +782,13 @@ Status RecoveryManager::RecoverLockTable(Ctx& ctx) {
           erase_txn(lcb.holders);
           erase_txn(lcb.waiters);
           break;
+      }
+    };
+    for (const LogRecord* rec : analysis.lock_ops(s)) fold(*rec);
+    analysis.ForEachSince(s, [&](const LogRecord& rec, bool) {
+      if (rec.type == LogRecordType::kLockOp &&
+          surviving_ids.contains(rec.txn)) {
+        fold(rec);
       }
     });
   }

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "core/log_analysis.h"
 #include "core/recovery.h"
 #include "txn/transaction.h"
 #include "wal/log_record.h"
@@ -64,6 +65,10 @@ class RecoveryManager {
     /// Their rollback already ran, so node-granular schemes leave them
     /// alone — but RebootAll destroys that tail and must re-undo them.
     std::set<TxnId> volatile_finished;
+    /// The recovery's log-analysis pass (BuildContext runs it). Later
+    /// phases read their records from it plus what reached the logs since.
+    /// The on-demand window keeps it until the window closes.
+    std::shared_ptr<const LogAnalysis> analysis;
     RecoveryOutcome out;
     size_t rr = 0;
 
@@ -142,25 +147,25 @@ class RecoveryManager {
 
   /// Collect half of the redo pass: every redo-relevant record (lsn >
   /// checkpoint) from every reachable log, sorted by global USN. Pure
-  /// host-side log reads.
-  Status CollectRedoRecords(std::vector<LogRecord>* out);
+  /// host-side reads of the analysis and of what reached the logs since.
+  void CollectRedoRecords(const Ctx& ctx, RecordList* out);
   /// Apply half: structural records first (via NextSurvivor), then
   /// entry-level records in the list's (USN) order. With ctx.lazy set the
   /// entry-level half is skipped — OnDemandRecovery owns those records.
-  Status ApplyRedoRecords(Ctx& ctx, const std::vector<LogRecord>& records);
+  Status ApplyRedoRecords(Ctx& ctx, const RecordList& records);
 
   /// Stable-log undo obligations, split out so the on-demand path can
   /// stash them and discharge per object.
   struct UndoWork {
     /// Non-CLR records of uncommitted dead transactions, reverse-USN order.
-    std::vector<LogRecord> to_undo;
+    RecordList to_undo;
     /// CLR maps for engagement pre-seeding (see UndoCrashedFromStableLogs).
     std::map<uint64_t, std::pair<TxnId, RecordId>> clr_slots;
     std::map<uint64_t, std::pair<TxnId, std::pair<uint32_t, uint64_t>>>
         clr_keys;
   };
   /// Collect half of the undo pass (pure host-side log reads).
-  Status CollectUndoWork(Ctx& ctx, UndoWork* out);
+  void CollectUndoWork(const Ctx& ctx, UndoWork* out);
 
   /// Undoes uncommitted dead work found in *any* stable log — stolen
   /// updates and pre-crash aborts whose CLRs were lost. The scan must cover
@@ -195,9 +200,6 @@ class RecoveryManager {
   Status RunSelectiveRedo(Ctx& ctx);    // selective_redo.cc
   Status RunRebootAll(Ctx& ctx);        // baselines.cc
   Status RunAbortDependents(Ctx& ctx);  // baselines.cc
-
-  /// True if `txn` has a commit record in its node's stable log.
-  bool CommittedInStableLog(TxnId txn) const;
 
   // Partitioned recovery support -----------------------------------------
 

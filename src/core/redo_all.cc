@@ -76,14 +76,16 @@ Status RecoveryManager::RunRedoAll(Ctx& ctx) {
   // On-demand eager prefix: structural redo now, entry-level redo and undo
   // stashed for lazy discharge.
   ctx.lazy = true;
-  std::vector<LogRecord> records;
+  RecordList records;
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kRedo, [&] {
-    SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
+    CollectRedoRecords(ctx, &records);
     return ApplyRedoRecords(ctx, records);  // structural only (ctx.lazy)
   }));
   UndoWork undo;
-  SMDB_RETURN_IF_ERROR(TimedPhase(
-      ctx, RecoveryPhase::kUndo, [&] { return CollectUndoWork(ctx, &undo); }));
+  SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kUndo, [&] {
+    CollectUndoWork(ctx, &undo);
+    return Status::Ok();
+  }));
   // Lock rebuild runs in the prefix — new transactions need a sound lock
   // table before the first lazy discharge. Moving it ahead of undo is
   // safe: undo never touches LCBs, the drop set comes from analysis, and

@@ -78,14 +78,16 @@ Status RecoveryManager::RunSelectiveRedo(Ctx& ctx) {
   // On-demand eager prefix: structural redo now, everything entry-level
   // stashed for lazy discharge.
   ctx.lazy = true;
-  std::vector<LogRecord> records;
+  RecordList records;
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kRedo, [&] {
-    SMDB_RETURN_IF_ERROR(CollectRedoRecords(&records));
+    CollectRedoRecords(ctx, &records);
     return ApplyRedoRecords(ctx, records);  // structural only (ctx.lazy)
   }));
   UndoWork undo;
-  SMDB_RETURN_IF_ERROR(TimedPhase(
-      ctx, RecoveryPhase::kUndo, [&] { return CollectUndoWork(ctx, &undo); }));
+  SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kUndo, [&] {
+    CollectUndoWork(ctx, &undo);
+    return Status::Ok();
+  }));
   // Lock rebuild in the prefix (see RunRedoAll for why this is safe).
   SMDB_RETURN_IF_ERROR(TimedPhase(ctx, RecoveryPhase::kLockRebuild,
                                   [&] { return RecoverLockTable(ctx); }));

@@ -7,32 +7,32 @@
 namespace smdb {
 
 StableStateReconstructor::StableStateReconstructor(
-    Machine* machine, LogManager* log, BufferManager* buffers,
-    RecordStore* records, std::set<TxnId> uncommitted)
+    Machine* machine, BufferManager* buffers, RecordStore* records,
+    std::set<TxnId> uncommitted, const LogAnalysis& analysis)
     : machine_(machine),
-      log_(log),
       buffers_(buffers),
       records_(records),
-      uncommitted_(std::move(uncommitted)) {}
+      uncommitted_(std::move(uncommitted)),
+      analysis_(&analysis) {}
 
 void StableStateReconstructor::BuildIndex() {
   if (indexed_) return;
   indexed_ = true;
   for (NodeId n = 0; n < machine_->num_nodes(); ++n) {
-    auto visit = [&](const LogRecord& rec) {
-      if (rec.type != LogRecordType::kUpdate) return;
-      by_record_[rec.update().rid].push_back(rec);
-    };
-    if (machine_->NodeAlive(n)) {
-      log_->ForEachAll(n, visit);
-    } else {
-      log_->ForEachStable(n, visit);
+    for (const LogAnalysis::UsnRef& ref : analysis_->refs(n)) {
+      if (ref.rec->type != LogRecordType::kUpdate) continue;
+      by_record_[ref.rec->update().rid].push_back(ref.rec);
     }
+    analysis_->ForEachSince(n, [&](const LogRecord& rec, bool stable) {
+      if (rec.type != LogRecordType::kUpdate) return;
+      const LogRecord* r = stable ? &rec : &tail_copies_.emplace_back(rec);
+      by_record_[rec.update().rid].push_back(r);
+    });
   }
   for (auto& [rid, recs] : by_record_) {
     std::sort(recs.begin(), recs.end(),
-              [](const LogRecord& a, const LogRecord& b) {
-                return a.update().usn < b.update().usn;
+              [](const LogRecord* a, const LogRecord* b) {
+                return a->update().usn < b->update().usn;
               });
   }
 }
@@ -58,14 +58,14 @@ Result<SlotImage> StableStateReconstructor::CommittedValue(NodeId performer,
   // The stable image itself may contain a stolen uncommitted value; detect
   // that and fall back to the producing transaction's logged before image.
   auto it = by_record_.find(rid);
-  const std::vector<LogRecord>* recs =
+  const std::vector<const LogRecord*>* recs =
       it == by_record_.end() ? nullptr : &it->second;
 
   if (recs != nullptr) {
-    for (const LogRecord& rec : *recs) {
-      const UpdatePayload& u = rec.update();
+    for (const LogRecord* rec : *recs) {
+      const UpdatePayload& u = rec->update();
       if (u.usn <= current.usn) continue;
-      if (!u.is_clr && uncommitted_.contains(rec.txn)) continue;
+      if (!u.is_clr && uncommitted_.contains(rec->txn)) continue;
       current.usn = u.usn;
       current.data = u.after;
       current.tag = kTagNone;
@@ -73,15 +73,15 @@ Result<SlotImage> StableStateReconstructor::CommittedValue(NodeId performer,
     // If the stable image's version was written by an uncommitted
     // transaction (steal) and no later committed value replaced it, rewind
     // to that transaction's before image for this record.
-    for (const LogRecord& rec : *recs) {
-      const UpdatePayload& u = rec.update();
+    for (const LogRecord* rec : *recs) {
+      const UpdatePayload& u = rec->update();
       if (u.usn == current.usn && !u.is_clr &&
-          uncommitted_.contains(rec.txn)) {
+          uncommitted_.contains(rec->txn)) {
         // Find the earliest update of this txn to this record: its before
         // image is the last committed value (2PL: no interleaved writers).
-        for (const LogRecord& first : *recs) {
-          const UpdatePayload& fu = first.update();
-          if (first.txn == rec.txn && !fu.is_clr) {
+        for (const LogRecord* first : *recs) {
+          const UpdatePayload& fu = first->update();
+          if (first->txn == rec->txn && !fu.is_clr) {
             SlotImage out;
             out.usn = fu.before_usn;
             out.tag = kTagNone;

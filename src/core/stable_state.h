@@ -1,15 +1,16 @@
 #ifndef SMDB_CORE_STABLE_STATE_H_
 #define SMDB_CORE_STABLE_STATE_H_
 
+#include <deque>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "core/log_analysis.h"
 #include "db/buffer_manager.h"
 #include "db/record_store.h"
-#include "wal/log_manager.h"
 
 namespace smdb {
 
@@ -29,11 +30,15 @@ class Machine;
 /// their redo-only CLRs. Strict 2PL guarantees at most one active
 /// transaction per record, so the skipped updates are always a suffix and
 /// the result is exactly the last committed value.
+///
+/// The per-record index of update records is built on first use, from
+/// `analysis` plus what reached the logs since it ran; `analysis` must
+/// outlive the reconstructor.
 class StableStateReconstructor {
  public:
-  StableStateReconstructor(Machine* machine, LogManager* log,
-                           BufferManager* buffers, RecordStore* records,
-                           std::set<TxnId> uncommitted);
+  StableStateReconstructor(Machine* machine, BufferManager* buffers,
+                           RecordStore* records, std::set<TxnId> uncommitted,
+                           const LogAnalysis& analysis);
 
   /// Last committed value (and its USN) of `rid`. `performer` pays for the
   /// stable-database page reads (cached across calls).
@@ -43,14 +48,17 @@ class StableStateReconstructor {
   const std::vector<uint8_t>* PageImage(NodeId performer, PageId page);
 
   Machine* machine_;
-  LogManager* log_;
   BufferManager* buffers_;
   RecordStore* records_;
   std::set<TxnId> uncommitted_;
+  const LogAnalysis* analysis_;
   std::unordered_map<PageId, std::vector<uint8_t>> page_cache_;
-  /// rid -> update records for it, lazily indexed on first use.
+  /// rid -> update records for it in USN order, lazily indexed on first
+  /// use. Stable records are referenced in place; volatile-tail records
+  /// are copied into tail_copies_ (a force may move the tail).
   bool indexed_ = false;
-  std::unordered_map<RecordId, std::vector<LogRecord>> by_record_;
+  std::unordered_map<RecordId, std::vector<const LogRecord*>> by_record_;
+  std::deque<LogRecord> tail_copies_;
 
   void BuildIndex();
 };

@@ -5,7 +5,10 @@
 namespace smdb {
 
 SimTime LineLockTable::Acquire(LineAddr line, NodeId node, SimTime now) {
-  LockState& st = locks_[line];
+  const LineAddr c = line / kChunk;
+  if (c >= chunks_.size()) chunks_.resize(c + 1);
+  if (chunks_[c] == nullptr) chunks_[c] = std::make_unique<LockState[]>(kChunk);
+  LockState& st = chunks_[c][line % kChunk];
   SimTime grant = std::max(now, st.free_at);
   st.holder = node;
   // Until released, the lock is logically unavailable; free_at is updated on
@@ -17,28 +20,28 @@ SimTime LineLockTable::Acquire(LineAddr line, NodeId node, SimTime now) {
 }
 
 void LineLockTable::Release(LineAddr line, NodeId node, SimTime now) {
-  auto it = locks_.find(line);
-  if (it == locks_.end() || it->second.holder != node) return;
-  it->second.holder = kInvalidNode;
-  it->second.free_at = std::max(it->second.free_at, now);
+  LockState* st = Find(line);
+  if (st == nullptr || st->holder != node) return;
+  st->holder = kInvalidNode;
+  st->free_at = std::max(st->free_at, now);
 }
 
 bool LineLockTable::HeldBy(LineAddr line, NodeId node) const {
-  auto it = locks_.find(line);
-  return it != locks_.end() && it->second.holder == node;
+  const LockState* st = Find(line);
+  return st != nullptr && st->holder == node;
 }
 
-std::vector<LineAddr> LineLockTable::ReleaseAllHeldBy(NodeId node,
-                                                      SimTime now) {
-  std::vector<LineAddr> released;
-  for (auto& [line, st] : locks_) {
-    if (st.holder == node) {
-      st.holder = kInvalidNode;
-      st.free_at = std::max(st.free_at, now);
-      released.push_back(line);
+void LineLockTable::ReleaseAllHeldBy(NodeId node, SimTime now) {
+  for (const auto& chunk : chunks_) {
+    if (chunk == nullptr) continue;
+    for (LineAddr i = 0; i < kChunk; ++i) {
+      LockState& st = chunk[i];
+      if (st.holder == node) {
+        st.holder = kInvalidNode;
+        st.free_at = std::max(st.free_at, now);
+      }
     }
   }
-  return released;
 }
 
 }  // namespace smdb

@@ -2,7 +2,7 @@
 #define SMDB_SIM_LINE_LOCK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -37,11 +37,24 @@ class LineLockTable {
   bool HeldBy(LineAddr line, NodeId node) const;
 
   /// Releases every lock held by `node` (hardware does this implicitly when
-  /// a node fails and its requests are flushed). Returns the released lines.
-  std::vector<LineAddr> ReleaseAllHeldBy(NodeId node, SimTime now);
+  /// a node fails and its requests are flushed).
+  void ReleaseAllHeldBy(NodeId node, SimTime now);
 
  private:
-  std::unordered_map<LineAddr, LockState> locks_;
+  static constexpr LineAddr kChunk = 256;
+
+  /// The state of `line`, or nullptr if no line of its chunk was ever
+  /// locked (such a line is in the default state).
+  LockState* Find(LineAddr line) const {
+    const LineAddr c = line / kChunk;
+    if (c >= chunks_.size() || chunks_[c] == nullptr) return nullptr;
+    return &chunks_[c][line % kChunk];
+  }
+
+  /// Indexed by line, in chunks of kChunk lines allocated on the first
+  /// lock in the chunk: the simulated address space is a dense bump
+  /// allocation (see LineTable), and locked lines cluster in it.
+  std::vector<std::unique_ptr<LockState[]>> chunks_;
 };
 
 }  // namespace smdb

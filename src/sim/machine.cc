@@ -166,8 +166,9 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
   // (fetch, invalidations, migration) is coherence miss service.
   ProfScope coherence(prof_, ProfPhase::kCoherence);
   // Snapshot the current data: the invalidations below fire hooks, which
-  // may reuse the source copy's storage.
-  std::vector<uint8_t> data;
+  // may reuse the source copy's storage. The snapshot borrows line_buf_'s
+  // storage and hands it back at the end.
+  std::vector<uint8_t> data = std::move(line_buf_);
   SimTime cost = 0;
   if (mine != nullptr) {
     data.assign(mine->data, mine->data + config_.line_size);
@@ -177,6 +178,7 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
     if (src == nullptr) {
       ++stats_.lost_line_references;
       stats_.last_lost_reference = line;
+      line_buf_ = std::move(data);
       return Status::LineLost("no valid copy");
     }
     data.assign(src, src + config_.line_size);
@@ -222,6 +224,7 @@ Status Machine::AcquireExclusive(NodeId node, LineAddr line,
   }
 
   cache.Insert(line, LineState::kExclusive, data.data());
+  line_buf_ = std::move(data);
   e.sharers = (1ULL << node);
   e.owner = node;
   Tick(node, cost);

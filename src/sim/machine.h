@@ -258,6 +258,9 @@ class Machine {
   std::vector<bool> alive_;
   std::vector<SimTime> clocks_;
   LineLockTable line_locks_;
+  /// AcquireExclusive's line snapshot, kept between calls so the copy does
+  /// not allocate (a nested call finds it taken and uses its own).
+  std::vector<uint8_t> line_buf_;
   MachineStats stats_;
   TraceRecorder* tracer_ = nullptr;
   Observatory* obs_ = nullptr;

@@ -1,7 +1,6 @@
 #include "wal/log_manager.h"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 
 #include "obs/trace.h"
@@ -62,10 +61,8 @@ Status LogManager::Force(NodeId requestor, NodeId node) {
     machine_->Tick(requestor, machine_->config().nvram_log
                                   ? timing.nvram_force_ns
                                   : timing.log_force_ns);
-    std::vector<LogRecord> batch(std::make_move_iterator(tail.begin()),
-                                 std::make_move_iterator(tail.end()));
+    for (LogRecord& rec : tail) stable_->Append(node, std::move(rec));
     tail.clear();
-    stable_->Append(node, std::move(batch));
     SMDB_TRACE(tracer_, {.kind = TraceEventKind::kLogForce,
                          .node = node,
                          .peer = requestor,
@@ -90,16 +87,14 @@ void LogManager::AnnulVolatile(NodeId node, Lsn lsn) {
 }
 
 const LogRecord* LogManager::Find(NodeId node, Lsn lsn) const {
-  // Both halves of the log are LSN-ordered (the tail may have annul gaps),
-  // and every stable LSN precedes every tail LSN.
-  auto find_in = [lsn](const auto& records) -> const LogRecord* {
-    auto it = std::lower_bound(
-        records.begin(), records.end(), lsn,
-        [](const LogRecord& rec, Lsn l) { return rec.lsn < l; });
-    return it != records.end() && it->lsn == lsn ? &*it : nullptr;
-  };
-  if (lsn <= stable_->LastLsn(node)) return find_in(stable_->Records(node));
-  return find_in(tails_[node]);
+  // Every stable LSN precedes every tail LSN; the tail is LSN-ordered too
+  // (it may have annul gaps).
+  if (lsn <= stable_->LastLsn(node)) return stable_->Records(node).Find(lsn);
+  const auto& tail = tails_[node];
+  auto it = std::lower_bound(
+      tail.begin(), tail.end(), lsn,
+      [](const LogRecord& rec, Lsn l) { return rec.lsn < l; });
+  return it != tail.end() && it->lsn == lsn ? &*it : nullptr;
 }
 
 bool LogManager::IsStable(NodeId node, Lsn lsn) const {
@@ -109,17 +104,6 @@ bool LogManager::IsStable(NodeId node, Lsn lsn) const {
 
 void LogManager::OnNodeCrash(NodeId node) {
   tails_[node].clear();
-}
-
-void LogManager::ForEachStable(
-    NodeId node, const std::function<void(const LogRecord&)>& fn) const {
-  for (const auto& rec : stable_->Records(node)) fn(rec);
-}
-
-void LogManager::ForEachAll(
-    NodeId node, const std::function<void(const LogRecord&)>& fn) const {
-  ForEachStable(node, fn);
-  for (const auto& rec : tails_[node]) fn(rec);
 }
 
 }  // namespace smdb

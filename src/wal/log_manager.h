@@ -136,8 +136,10 @@ class LogManager {
   /// The record with LSN `lsn` in `node`'s log — retained stable suffix or
   /// volatile tail — or nullptr if it is not there: truncated, annulled,
   /// lost with a crashed node's tail, or never assigned. O(log n) (binary
-  /// search in whichever half holds `lsn`). The pointer is valid until the
-  /// next Append, Force, AnnulVolatile, TruncateThrough or crash of `node`.
+  /// search in whichever half holds `lsn`). A stable record never moves, so
+  /// a pointer to one stays valid until TruncateThrough drops it; a pointer
+  /// into the tail is valid until the next Append, Force, AnnulVolatile or
+  /// crash of `node`.
   const LogRecord* Find(NodeId node, Lsn lsn) const;
 
   /// True if `node`'s log is stable through `lsn`.
@@ -150,14 +152,34 @@ class LogManager {
   /// this to the machine's crash hook).
   void OnNodeCrash(NodeId node);
 
-  /// Iterates `node`'s durable records in LSN order.
-  void ForEachStable(NodeId node,
-                     const std::function<void(const LogRecord&)>& fn) const;
+  /// Iterates `node`'s durable records in LSN order. The records stay put
+  /// (see LogStream): references to them outlive later forces.
+  template <typename Fn>
+  void ForEachStable(NodeId node, Fn&& fn) const {
+    stable_->Records(node).ForEach(fn);
+  }
+
+  /// Iterates `node`'s durable records with lsn > `after` (all of them for
+  /// kInvalidLsn), in LSN order; the first is found in O(log n).
+  template <typename Fn>
+  void ForEachStableAfter(NodeId node, Lsn after, Fn&& fn) const {
+    stable_->Records(node).ForEachAfter(after, fn);
+  }
+
+  /// Iterates `node`'s volatile tail in LSN order. A force moves these
+  /// records into the stable stream: copy any that must outlive one.
+  template <typename Fn>
+  void ForEachVolatile(NodeId node, Fn&& fn) const {
+    for (const LogRecord& rec : tails_[node]) fn(rec);
+  }
 
   /// Iterates `node`'s full log — durable prefix then volatile tail. Only
   /// meaningful for surviving nodes (a crashed node's tail is empty).
-  void ForEachAll(NodeId node,
-                  const std::function<void(const LogRecord&)>& fn) const;
+  template <typename Fn>
+  void ForEachAll(NodeId node, Fn&& fn) const {
+    ForEachStable(node, fn);
+    ForEachVolatile(node, fn);
+  }
 
   /// Volatile tail size (diagnostics/tests).
   size_t TailSize(NodeId node) const {

@@ -186,21 +186,19 @@ TEST(ThreadPoolTest, ReusableAcrossParallelForCalls) {
 
 TEST(StableLogStoreTest, BulkAppendPreservesLsnOrder) {
   StableLogStore store(2);
-  auto batch = [](Lsn first, size_t n) {
-    std::vector<LogRecord> out;
+  auto batch = [&store](Lsn first, size_t n) {
     for (size_t i = 0; i < n; ++i) {
       LogRecord rec;
       rec.lsn = first + static_cast<Lsn>(i);
       rec.node = 0;
-      out.push_back(std::move(rec));
+      store.Append(0, std::move(rec));
     }
-    return out;
   };
-  // First append takes the empty-stream fast path, the rest the bulk-move
-  // insert; both must keep the stream in LSN order across batch boundaries.
-  store.Append(0, batch(1, 3));
-  store.Append(0, batch(4, 1));
-  store.Append(0, batch(5, 64));
+  // The last batch crosses the first segment's end; the stream must stay
+  // in LSN order across batch and segment boundaries.
+  batch(1, 3);
+  batch(4, 1);
+  batch(5, 64);
   const auto& recs = store.Records(0);
   ASSERT_EQ(recs.size(), 68u);
   for (size_t i = 0; i < recs.size(); ++i) {

@@ -148,8 +148,9 @@ TEST(StableStateTest, ReconstructsCommittedValueFromStableLog) {
   Transaction* t1 = db.txn().Begin(1);
   ASSERT_TRUE(db.txn().Update(t1, rid, Value(6)).ok());
 
-  StableStateReconstructor rec(&db.machine(), &db.log(), &db.buffers(),
-                               &db.records(), {t1->id});
+  LogAnalysis analysis(db.log(), db.machine(), {});
+  StableStateReconstructor rec(&db.machine(), &db.buffers(), &db.records(),
+                               {t1->id}, analysis);
   auto v = rec.CommittedValue(2, rid);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->data, Value(5));
@@ -170,8 +171,9 @@ TEST(StableStateTest, RewindsStolenUncommittedStableImage) {
   // undo information first).
   ASSERT_TRUE(db.buffers().FlushPage(2, rid.page).ok());
 
-  StableStateReconstructor rec(&db.machine(), &db.log(), &db.buffers(),
-                               &db.records(), {t1->id});
+  LogAnalysis analysis(db.log(), db.machine(), {});
+  StableStateReconstructor rec(&db.machine(), &db.buffers(), &db.records(),
+                               {t1->id}, analysis);
   auto v = rec.CommittedValue(2, rid);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->data, Value(5)) << "reconstructor must rewind stolen value";
@@ -182,8 +184,9 @@ TEST(StableStateTest, InitialValueWhenNoLogRecords) {
   Database db(Cfg(RecoveryConfig::VolatileSelectiveRedo()));
   auto table = db.CreateTable(8);
   ASSERT_TRUE(table.ok());
-  StableStateReconstructor rec(&db.machine(), &db.log(), &db.buffers(),
-                               &db.records(), {});
+  LogAnalysis analysis(db.log(), db.machine(), {});
+  StableStateReconstructor rec(&db.machine(), &db.buffers(), &db.records(),
+                               {}, analysis);
   auto v = rec.CommittedValue(0, (*table)[3]);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->data, Value(0));

@@ -512,6 +512,103 @@ TEST(RecoveryEdgeTest, GroupCommitCrashMidBatchMixedRecords) {
   EXPECT_EQ(slot_b->data, Value(0));     // b annulled
 }
 
+// Redo's line traffic can force a survivor's live tail mid-pass: under
+// Stable LBM a line holding an unforced update is "active", and when a
+// redo performer takes it from its updater the migration hook forces the
+// updater's log, moving the tail records into the stable stream. Redo
+// collected those records before the pass and must not hold them where
+// the force moved them from (they were copied; the stable ones never
+// move). Here the crashed node's committed updates are redone on
+// reinstalled lines of a page whose header line a survivor holds active,
+// and the survivor's own unforced update sorts after them in the redo
+// list. Covers the migration-triggered policy and Stable eager LBM riding
+// group commit (which keeps the same migration safety net).
+TEST(RecoveryEdgeTest, RedoMigrationForcesSurvivorTailMidPass) {
+  RecoveryConfig triggered = RecoveryConfig::StableTriggeredSelectiveRedo();
+  RecoveryConfig eager_gc = triggered;
+  eager_gc.lbm = LbmKind::kStableEager;
+  eager_gc.group_commit = true;
+  eager_gc.group_commit_window_ns = 10'000'000;
+  for (const RecoveryConfig& rc : {triggered, eager_gc}) {
+    Fx fx(rc);
+    // t0 on node 3 commits updates to three records of one page (the
+    // commit forces node 3's log: its lines are no longer active).
+    Transaction* t0 = fx.db.txn().Begin(3);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(fx.db.txn().Update(t0, fx.table[i], Value(0x30 + i)).ok());
+    }
+    Status c = fx.db.txn().Commit(t0);
+    if (c.IsBusy()) {
+      ASSERT_TRUE(fx.db.log().Force(3, 3).ok());
+      ASSERT_TRUE(fx.db.txn().TryFinishDurablePendingCommit(t0));
+    } else {
+      ASSERT_TRUE(c.ok()) << c.ToString();
+    }
+    ASSERT_EQ(fx.table[3].page, fx.table[0].page);
+    // t1 on survivor node 1 updates a fourth record of the page and stays
+    // active: its update (and the page header line it wrote) is unforced.
+    Transaction* t1 = fx.db.txn().Begin(1);
+    ASSERT_TRUE(fx.db.txn().Update(t1, fx.table[3], Value(0x41)).ok());
+    ASSERT_GT(fx.db.log().TailSize(1), 0u);
+    const uint64_t lbm_before = fx.db.log().stats().lbm_forces;
+
+    auto outcome = fx.db.Crash({3});
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    // The redo pass forced node 1's tail while it ran.
+    EXPECT_GT(fx.db.log().stats().lbm_forces, lbm_before);
+    EXPECT_EQ(fx.db.log().TailSize(1), 0u);
+    EXPECT_TRUE(fx.db.log().IsStable(1, t1->last_lsn));
+    EXPECT_TRUE(fx.checker.VerifyAll().ok())
+        << fx.checker.VerifyAll().ToString();
+    for (int i = 0; i < 3; ++i) {
+      auto slot = fx.db.records().SnoopSlot(fx.table[i]);
+      ASSERT_TRUE(slot.ok());
+      EXPECT_EQ(slot->data, Value(0x30 + i));  // t0 redone
+    }
+    auto s1 = fx.db.records().SnoopSlot(fx.table[3]);
+    ASSERT_TRUE(s1.ok());
+    EXPECT_EQ(s1->data, Value(0x41));  // t1 preserved
+    EXPECT_EQ(t1->state, TxnState::kActive);
+  }
+}
+
+// The on-demand window keeps the redo list past the recovery. A survivor's
+// volatile-tail record in it must be the list's own copy: here the
+// survivor's log is forced while the window is open and its tail refilled
+// with records of other types, so a reference into the tail would now name
+// a lock-op record when the drain replays it.
+TEST(RecoveryEdgeTest, OnDemandRedoListOutlivesSurvivorTailForce) {
+  RecoveryConfig rc = RecoveryConfig::VolatileSelectiveRedo();
+  rc.on_demand = true;
+  Fx fx(rc);
+  Transaction* t1 = fx.db.txn().Begin(0);
+  ASSERT_TRUE(fx.db.txn().Update(t1, fx.table[5], Value(0x55)).ok());
+  Transaction* t2 = fx.db.txn().Begin(1);
+  ASSERT_TRUE(fx.db.txn().Update(t2, fx.table[2], Value(0x22)).ok());
+  ASSERT_TRUE(fx.db.txn().Commit(t2).ok());
+  ASSERT_GT(fx.db.log().TailSize(0), 0u);
+
+  auto outcome = fx.db.Crash({1});
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(fx.db.RecoveringActive());
+  ASSERT_TRUE(fx.db.log().Force(0, 0).ok());
+  // A read first, so the refilled tail's records sit at other positions
+  // than the ones they replace.
+  Transaction* t3 = fx.db.txn().Begin(0);
+  ASSERT_TRUE(fx.db.txn().Read(t3, fx.table[12]).ok());
+  ASSERT_TRUE(fx.db.txn().Update(t3, fx.table[13], Value(0x13)).ok());
+  ASSERT_TRUE(fx.db.txn().Update(t3, fx.table[14], Value(0x14)).ok());
+
+  ASSERT_TRUE(fx.db.DrainRecovery().ok());
+  ASSERT_TRUE(fx.db.txn().Commit(t3).ok());
+  ASSERT_TRUE(fx.db.txn().Commit(t1).ok());
+  EXPECT_TRUE(fx.checker.VerifyAll().ok())
+      << fx.checker.VerifyAll().ToString();
+  auto s5 = fx.db.records().SnoopSlot(fx.table[5]);
+  ASSERT_TRUE(s5.ok());
+  EXPECT_EQ(s5->data, Value(0x55));
+}
+
 // RebootAll with a non-empty pending batch: a pending commit whose record
 // an unrelated force made durable is committed by crash-time resolution; a
 // still-volatile pending commit is annulled with everything else.

@@ -356,32 +356,106 @@ TEST(StableLogStoreTest, PerNodeStreams) {
   StableLogStore s(3);
   LogRecord r;
   r.lsn = 1;
-  s.Append(1, {r});
+  s.Append(1, std::move(r));
   EXPECT_EQ(s.Records(0).size(), 0u);
   EXPECT_EQ(s.Records(1).size(), 1u);
   EXPECT_EQ(s.LastLsn(1), 1u);
   EXPECT_EQ(s.LastLsn(2), kInvalidLsn);
 }
 
-TEST(StableLogStoreTest, AppendGrowsStreamGeometrically) {
-  // Each force appends one batch. An exact-size reserve before every insert
-  // relocates the whole stream each time (O(n^2) over a run); geometric
-  // growth relocates it O(log n) times.
+TEST(StableLogStoreTest, RecordsNeverMoveAndTruncateFreesWholeSegments) {
+  // Stable records are stored in fixed-capacity segments (64, 128, ...,
+  // doubling to LogStream::kSegment): appends never relocate a record, so
+  // recovery can hold references into a stream while forces extend it.
   StableLogStore s(1);
-  int relocations = 0;
-  const LogRecord* data = nullptr;
-  for (Lsn lsn = 1; lsn <= 4096; ++lsn) {
+  const Lsn n = 3 * LogStream::kSegment + 100;
+  std::vector<const LogRecord*> where;
+  for (Lsn lsn = 1; lsn <= n; ++lsn) {
     LogRecord r;
     r.lsn = lsn;
-    s.Append(0, {r});
-    if (s.Records(0).data() != data) {
-      ++relocations;
-      data = s.Records(0).data();
+    s.Append(0, std::move(r));
+    where.push_back(&s.Records(0).back());
+  }
+  const LogStream& stream = s.Records(0);
+  ASSERT_EQ(stream.size(), n);
+  EXPECT_EQ(s.LastLsn(0), n);
+  for (Lsn lsn = 1; lsn <= n; ++lsn) {
+    ASSERT_EQ(where[lsn - 1]->lsn, lsn);  // still there, unmoved
+    ASSERT_EQ(stream.Find(lsn), where[lsn - 1]);
+    ASSERT_EQ(&stream[lsn - 1], where[lsn - 1]);
+  }
+  // 64 + 128 + ... + 2048 = 4032 records, then 4096-record segments.
+  const size_t segments = stream.segment_count();
+  EXPECT_EQ(segments, 6u + (n - 4032 + LogStream::kSegment - 1) /
+                               LogStream::kSegment);
+
+  // Through the end of the second segment: exactly two segments freed.
+  EXPECT_EQ(s.Truncate(0, 64 + 128), 192u);
+  EXPECT_EQ(stream.segment_count(), segments - 2);
+  // Mid-segment: records dropped, no segment freed.
+  EXPECT_EQ(s.Truncate(0, 200), 8u);
+  EXPECT_EQ(stream.segment_count(), segments - 2);
+  EXPECT_EQ(stream.size(), n - 200);
+  EXPECT_EQ(stream.Find(200), nullptr);
+  EXPECT_EQ(stream.Find(201), where[200]);
+  EXPECT_EQ(&stream[0], where[200]);
+  for (Lsn lsn = 201; lsn <= n; ++lsn) {
+    ASSERT_EQ(stream.Find(lsn), where[lsn - 1]);
+  }
+
+  std::vector<Lsn> seen;
+  stream.ForEach([&](const LogRecord& r) { seen.push_back(r.lsn); });
+  ASSERT_EQ(seen.size(), n - 200);
+  for (size_t i = 0; i < seen.size(); ++i) ASSERT_EQ(seen[i], 201 + i);
+  seen.clear();
+  stream.ForEachAfter(4032, [&](const LogRecord& r) { seen.push_back(r.lsn); });
+  ASSERT_EQ(seen.size(), n - 4032);
+  EXPECT_EQ(seen.front(), 4033u);
+  EXPECT_EQ(seen.back(), n);
+
+  // Everything: the stream is empty and owns no segment.
+  EXPECT_EQ(s.Truncate(0, n), n - 200);
+  EXPECT_EQ(stream.segment_count(), 0u);
+  EXPECT_TRUE(stream.empty());
+  EXPECT_EQ(s.LastLsn(0), kInvalidLsn);
+}
+
+TEST(LogManagerTest, FindAndForEachStableAcrossSegmentsAndTruncation) {
+  // Forces of 100 records put batch boundaries inside segments and segment
+  // boundaries inside batches.
+  WalFixture f;
+  TxnId t = MakeTxnId(0, 1);
+  const Lsn n = 5000;
+  for (Lsn lsn = 1; lsn <= n; ++lsn) {
+    f.log.Append(0, f.Update(t, {1, 0}, lsn));
+    if (lsn % 100 == 0) {
+      ASSERT_TRUE(f.log.Force(0, 0).ok());
     }
   }
-  EXPECT_EQ(s.Records(0).size(), 4096u);
-  EXPECT_EQ(s.LastLsn(0), 4096u);
-  EXPECT_LE(relocations, 20);
+  const LogRecord* first_kept = f.log.Find(0, 4000);
+  auto check = [&](Lsn from) {
+    std::vector<Lsn> seen;
+    f.log.ForEachStable(0, [&](const LogRecord& r) {
+      seen.push_back(r.lsn);
+      EXPECT_EQ(r.update().usn, r.lsn);
+    });
+    ASSERT_EQ(seen.size(), n - from + 1);
+    for (size_t i = 0; i < seen.size(); ++i) ASSERT_EQ(seen[i], from + i);
+    for (Lsn lsn = from; lsn <= n; ++lsn) {
+      const LogRecord* rec = f.log.Find(0, lsn);
+      ASSERT_NE(rec, nullptr) << "lsn " << lsn;
+      ASSERT_EQ(rec->lsn, lsn);
+    }
+    for (Lsn lsn = 1; lsn < from; ++lsn) {
+      ASSERT_EQ(f.log.Find(0, lsn), nullptr);
+    }
+  };
+  check(1);
+  ASSERT_EQ(f.log.TruncateThrough(0, 63), 63u);  // inside the first segment
+  check(64);
+  ASSERT_EQ(f.log.TruncateThrough(0, 3999), 3936u);  // across several
+  check(4000);
+  EXPECT_EQ(f.log.Find(0, 4000), first_kept);  // never moved
 }
 
 }  // namespace
